@@ -3,8 +3,10 @@
 The fitter selects support points one at a time at the sample of largest
 current error, solves for barycentric weights as the smallest right
 singular vector of the Loewner matrix over the remaining samples, and
-stops at a relative error tolerance.  Spurious pole-zero pairs with
-negligible residue are removed afterwards.
+stops at a relative error tolerance.  The Loewner matrix grows by one
+column per support, and its singular pair comes from an SVD of its QR
+R factor (see linalg.min_singular_right_vector).  Spurious pole-zero
+pairs with negligible residue are removed afterwards.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ class FitReport:
     converged: bool
     cleanup_removed: int = 0
     final_error: float = np.nan
-    cleanup_warning: bool = False
     snapshots: tuple = field(default=(), repr=False)
 
 
@@ -85,15 +86,6 @@ def evaluate(r, z):
     return out.reshape(np.shape(z))
 
 
-def _loewner_weights(Z, F, support_idx):
-    """Weights minimizing the linearized residual over non-support samples."""
-    cols = np.asarray(support_idx, dtype=int)
-    rows = np.setdiff1d(np.arange(Z.size), cols, assume_unique=False)
-    A = (F[rows, None] - F[None, cols]) / (Z[rows, None] - Z[None, cols])
-    _, w = linalg.min_singular_right_vector(A)
-    return rows, w
-
-
 def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
     """Greedy barycentric rational fit of a SampleSet.
 
@@ -107,6 +99,8 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
     Z, F = samples.points, samples.values
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     if Z.size < max_degree + 2:
         raise ValueError(
             f"need at least max_degree + 2 = {max_degree + 2} samples, got {Z.size}"
@@ -116,18 +110,30 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
     history = []
     snapshots = []
     converged = False
+    # Loewner column (F - F[j]) / (Z - Z[j]) of each support j, in the order
+    # the supports join; column-major, so a fit that stops early never
+    # touches the memory of the columns it does not reach
+    L = np.empty((Z.size, max_degree + 1), dtype=complex, order="F")
+    is_support = np.zeros(Z.size, dtype=bool)
     # first support: largest deviation from the mean, ties at lowest index
     err = np.abs(F - F.mean())
     next_j = int(np.argmax(err))
     model = None
     while True:
+        k = len(support_idx)
         support_idx.append(next_j)
-        rows, w = _loewner_weights(Z, F, support_idx)
+        is_support[next_j] = True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L[:, k] = (F - F[next_j]) / (Z - Z[next_j])
+        rows = np.flatnonzero(~is_support)
+        _, w = linalg.min_singular_right_vector(L[rows, :k + 1])
         cols = np.asarray(support_idx, dtype=int)
         model = BarycentricRational(Z[cols], F[cols], w)
         with np.errstate(all="ignore"):
-            C = 1.0 / (Z[rows, None] - Z[None, cols])
+            C = Z[rows, None] - Z[None, cols]
+            np.divide(1.0, C, out=C)
             rvals = (C @ (w * F[cols])) / (C @ w)
+        del C  # free it before the next step's solve, the memory peak
         resid = np.abs(F[rows] - rvals)
         resid = np.where(np.isfinite(resid), resid, np.inf)
         max_err = float(resid.max()) if resid.size else 0.0
@@ -148,6 +154,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
         final_error=history[-1][1],
         snapshots=tuple(snapshots),
     )
+    del L  # cleanup builds its own Loewner matrix; free this one first
     return cleanup(report, samples)
 
 
@@ -200,7 +207,9 @@ def cleanup(report, samples):
 
     For each pole whose |residue| falls below 1e-13 * max|values| *
     diameter(samples), the nearest support is dropped and the weights are
-    re-solved; this repeats until no spurious poles remain.
+    re-solved; this repeats until no spurious poles remain.  The Loewner
+    matrix over the initial supports is built once; each removal drops its
+    column and re-admits its sample as a row.
     """
     if not isinstance(samples, SampleSet):
         samples = SampleSet(*samples)
@@ -210,28 +219,39 @@ def cleanup(report, samples):
     thresh = 1e-13 * fscale * diam
     model = report.model
     removed = 0
-    while model.degree >= 1:
-        p = poles(model)
-        res = residues(model, p)
-        bad = np.abs(res) < thresh
-        if not bad.any():
-            break
-        if model.supports.size - 1 < 1:
-            return replace(report, cleanup_warning=True)
+    worst = _negligible_pole(model, thresh)
+    if worst is not None:
+        cols = np.array([np.flatnonzero(Z == s)[0] for s in model.supports])
+        keep = np.ones(cols.size, dtype=bool)
+        free = np.ones(Z.size, dtype=bool)
+        free[cols] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = F[:, None] - F[None, cols]
+            L /= Z[:, None] - Z[None, cols]
+    while worst is not None:
         # drop the support nearest the most negligible pole, one per pass
-        worst = p[np.argmin(np.abs(res))]
-        keep = np.ones(model.supports.size, dtype=bool)
-        keep[np.argmin(np.abs(model.supports - worst))] = False
-        new_supports = model.supports[keep]
-        support_idx = [int(np.nonzero(Z == s)[0][0]) for s in new_supports]
-        _, w = _loewner_weights(Z, F, support_idx)
-        cols = np.asarray(support_idx, dtype=int)
-        model = BarycentricRational(Z[cols], F[cols], w)
+        q = np.flatnonzero(keep)[np.argmin(np.abs(model.supports - worst))]
+        keep[q] = False
+        free[cols[q]] = True
+        _, w = linalg.min_singular_right_vector(L[np.ix_(free, keep)])
+        model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
         removed += 1
+        worst = _negligible_pole(model, thresh)
     final_error = _max_error(model, samples)
     return replace(
         report, model=model, cleanup_removed=removed, final_error=final_error
     )
+
+
+def _negligible_pole(model, thresh):
+    """The pole of smallest |residue| if that is below thresh, else None."""
+    if model.degree < 1:
+        return None
+    p = poles(model)
+    res = np.abs(residues(model, p))
+    if not (res < thresh).any():
+        return None
+    return p[np.argmin(res)]
 
 
 def _max_error(model, samples):

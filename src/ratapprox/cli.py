@@ -98,29 +98,66 @@ def model_to_json(model):
 
 
 def model_from_json(data):
-    def arr(pairs):
-        return np.array([complex(re, im) for re, im in pairs])
+    """Rebuild a model from model_to_json output.
 
-    if data.get("type") == "barycentric":
-        return BarycentricRational(
-            arr(data["supports"]), arr(data["values"]), arr(data["weights"])
-        )
-    if data.get("type") == "arnoldi":
-        n = int(data["degree"])
-        H = arr(data["hessenberg"]).reshape(n + 1, n)
+    Raises UsageError for a missing key, an entry that is not a finite
+    [re, im] pair, or arrays whose lengths do not fit together.
+    """
+    if not isinstance(data, dict):
+        raise UsageError("model file must hold a JSON object")
+
+    def field(key):
+        if key not in data:
+            raise UsageError(f"model file lacks the key {key!r}")
+        return data[key]
+
+    def arr(key):
+        try:
+            a = np.array([complex(re, im) for re, im in field(key)],
+                         dtype=complex)
+        except (TypeError, ValueError):
+            raise UsageError(f"model {key!r} must be a list of [re, im] pairs")
+        if not np.all(np.isfinite(a)):
+            raise UsageError(f"model {key!r} has non-finite entries")
+        return a
+
+    kind = data.get("type")
+    if kind == "barycentric":
+        try:  # unequal lengths, repeated supports, all-zero weights
+            return BarycentricRational(
+                arr("supports"), arr("values"), arr("weights")
+            )
+        except ValueError as exc:
+            raise UsageError(f"invalid barycentric model: {exc}")
+    if kind == "arnoldi":
+        try:
+            n = int(field("degree"))
+            m = int(data.get("normalization_points", 0))
+        except (TypeError, ValueError):
+            raise UsageError(
+                "model 'degree' and 'normalization_points' must be integers"
+            )
+        H, c = arr("hessenberg"), arr("coeffs")
+        if n < 0 or H.size != (n + 1) * n or c.size != n + 1:
+            raise UsageError(
+                f"a degree-{n} arnoldi model needs {(n + 1) * n} hessenberg "
+                f"entries and {n + 1} coeffs, got {H.size} and {c.size}"
+            )
         return ArnoldiPolynomial(
-            hessenberg=H,
-            coeffs=arr(data["coeffs"]),
-            degree=n,
-            normalization_points=int(data.get("normalization_points", 0)),
+            hessenberg=H.reshape(n + 1, n), coeffs=c, degree=n,
+            normalization_points=m,
         )
-    raise UsageError(f"unknown model type {data.get('type')!r}")
+    raise UsageError(f"unknown model type {kind!r}")
 
 
 def load_model(path):
     import json
     with open(path) as fh:
-        return model_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"model file {path!r} is not valid JSON: {exc}")
+    return model_from_json(data)
 
 
 def _atomic_write(path, text):

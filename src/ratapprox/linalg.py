@@ -2,7 +2,9 @@
 
 Wraps LAPACK (via numpy/scipy) behind the small set of operations the
 fitters need: least squares, smallest singular pair, eigenvalues, and
-finite eigenvalues of diagonal-mask pencils.  All functions are pure and
+finite eigenvalues of diagonal-mask pencils.  The smallest singular pair
+of a tall matrix comes from an SVD of its QR R factor, which has the same
+singular values and right singular vectors.  All functions are pure and
 deterministic; returned eigenvalue multisets are sorted by real part,
 then imaginary part.
 """
@@ -59,13 +61,21 @@ def solve_least_squares(A, b):
 
 
 def min_singular_right_vector(A):
-    """Smallest singular value of A and an associated unit right vector."""
+    """Smallest singular value of A and an associated unit right vector.
+
+    For m >= 2k the SVD runs on the k-by-k R factor of A = QR; no m-by-k
+    singular-vector matrix is formed.
+    """
     A = _as_matrix(A)
     m, k = A.shape
     if m == 0 or k == 0:
         raise ValueError("matrix must be nonempty")
     if m < k:
         raise ValueError(f"need m >= k, got shape {A.shape}")
+    if m >= 2 * k:
+        # gesdd itself starts with this geqrf step for m >= 11k/6, so the
+        # pair equals that of the thin SVD of A (bit for bit on OpenBLAS)
+        A = np.linalg.qr(A, mode="r")
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
     v = Vh[-1].conj()
     return float(s[-1]), v / np.linalg.norm(v)

@@ -3,7 +3,7 @@ import pytest
 
 import ratapprox as ra
 from ratapprox import aaa
-from ratapprox.geometry import Disk, FunctionSpec, SampleSet
+from ratapprox.geometry import Disk, FunctionSpec, Interval, SampleSet
 
 
 def circle(n=500):
@@ -42,6 +42,12 @@ def test_too_few_samples_rejected():
     pts = circle(10)
     with pytest.raises(ValueError):
         aaa.aaa_fit(SampleSet(pts, np.exp(pts)), tol=1e-12, max_degree=20)
+
+
+def test_negative_max_degree_rejected():
+    pts = circle(10)
+    with pytest.raises(ValueError):
+        aaa.aaa_fit(SampleSet(pts, np.exp(pts)), tol=1e-12, max_degree=-1)
 
 
 def test_eval_at_support_is_exact(exp_disk_fit):
@@ -170,3 +176,65 @@ def test_interpolation_property(exp_disk_fit):
     nz = m.weights != 0
     ev = aaa.evaluate(m, m.supports[nz])
     assert np.array_equal(ev, m.values[nz])
+
+
+def _reference_fit(samples, tol, max_degree):
+    """Greedy fit and cleanup with a fresh Loewner matrix and thin SVD per solve."""
+    Z, F = samples.points, samples.values
+
+    def solve(idx):
+        rows = np.setdiff1d(np.arange(Z.size), idx)
+        A = (F[rows, None] - F[None, idx]) / (Z[rows, None] - Z[None, idx])
+        _, _, Vh = np.linalg.svd(A, full_matrices=False)
+        w = Vh[-1].conj()
+        return rows, w / np.linalg.norm(w)
+
+    fscale = np.max(np.abs(F))
+    idx = [int(np.argmax(np.abs(F - F.mean())))]
+    history = []
+    while True:
+        rows, w = solve(idx)
+        with np.errstate(all="ignore"):
+            C = 1.0 / (Z[rows, None] - Z[None, idx])
+            resid = np.abs(F[rows] - (C @ (w * F[idx])) / (C @ w))
+        resid = np.where(np.isfinite(resid), resid, np.inf)
+        history.append((len(idx) - 1, float(resid.max())))
+        if resid.max() <= tol * fscale or len(idx) - 1 >= max_degree:
+            break
+        idx.append(int(rows[np.argmax(resid)]))
+    thresh = 1e-13 * fscale * np.max(np.abs(Z[:, None] - Z[None, :]))
+    removed = 0
+    while len(idx) > 1:
+        model = aaa.BarycentricRational(Z[idx], F[idx], w)
+        p = aaa.poles(model)
+        res = np.abs(aaa.residues(model, p))
+        if not (res < thresh).any():
+            break
+        idx.pop(int(np.argmin(np.abs(Z[idx] - p[np.argmin(res)]))))
+        _, w = solve(idx)
+        removed += 1
+    return history, Z[idx], w, removed
+
+
+@pytest.mark.parametrize("case", ["abs-interval", "exp-disk"])
+def test_fit_matches_full_rebuild_reference(case):
+    if case == "abs-interval":
+        s = ra.sample_function(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 500)
+        tol, max_degree = 1e-8, 60
+    else:
+        s = ra.sample_function(FunctionSpec.EXP, Disk(0j, 1.0), 500)
+        tol, max_degree = 1e-12, 150
+    rep = aaa.aaa_fit(s, tol=tol, max_degree=max_degree)
+    history, supports, w, removed = _reference_fit(s, tol, max_degree)
+    if case == "abs-interval":
+        assert removed > 0          # the case runs the cleanup path
+    fscale = np.max(np.abs(s.values))
+    assert [d for d, _ in rep.history] == [d for d, _ in history]
+    assert np.allclose([e for _, e in rep.history], [e for _, e in history],
+                       rtol=0, atol=1e-12 * fscale)
+    assert np.array_equal(rep.model.supports, supports)
+    assert rep.cleanup_removed == removed
+    # singular vectors are unique up to a unit factor
+    phase = np.vdot(w, rep.model.weights)
+    phase /= abs(phase)
+    assert np.max(np.abs(rep.model.weights - phase * w)) <= 1e-12

@@ -132,3 +132,41 @@ def test_figure_report_contents(tmp_path):
     assert report["rational"]["final_degree"] <= 7
     assert report["rational"]["converged"]
     assert report["rational"]["sup_error"] <= 1e-11 * np.e
+
+
+_GOOD_MODEL = {
+    "type": "barycentric",
+    "supports": [[0.0, 0.0], [1.0, 0.0]],
+    "values": [[0.0, 0.0], [1.0, 0.0]],
+    "weights": [[1.0, 0.0], [-1.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("bad", [
+    {k: v for k, v in _GOOD_MODEL.items() if k != "weights"},
+    {**_GOOD_MODEL, "values": [[0.0, 0.0]]},
+    {**_GOOD_MODEL, "weights": [[1.0, float("nan")], [-1.0, 0.0]]},
+    {**_GOOD_MODEL, "supports": [[0.0, 0.0], [float("inf"), 0.0]]},
+    {**_GOOD_MODEL, "supports": [[0.0], [1.0, 0.0]]},
+    {"type": "arnoldi", "degree": 2, "hessenberg": [[1.0, 0.0]] * 6,
+     "coeffs": [[1.0, 0.0]] * 2},
+    {"type": "arnoldi", "hessenberg": [], "coeffs": [[1.0, 0.0]]},
+    [1, 2, 3],
+], ids=["missing-key", "length-mismatch", "nan-weight", "inf-support",
+        "bad-pair", "arnoldi-lengths", "arnoldi-missing-degree", "not-object"])
+def test_bad_model_file_is_usage_error(tmp_path, bad):
+    with pytest.raises(UsageError):
+        model_from_json(bad)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(bad))     # writes NaN/Infinity tokens as given
+    rc = main(["potential", "--model", str(path), "--res", "16",
+               "--out", str(tmp_path / "plot.svg")])
+    assert rc == 2
+    assert not (tmp_path / "plot.svg").exists()
+
+
+def test_model_file_not_json_is_usage_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{\"type\": ")
+    with pytest.raises(UsageError):
+        load_model(str(path))

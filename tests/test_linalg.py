@@ -74,6 +74,19 @@ def test_min_singular_is_minimal():
         assert s <= np.linalg.norm(A @ u) + 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 4, 12])
+@pytest.mark.parametrize("rows_per_col", ["k+1", "2k", "50k"])
+def test_min_singular_matches_thin_svd(k, rows_per_col):
+    # m = 2k and 50k take the QR-then-SVD path, m = k+1 the direct SVD
+    m = {"k+1": k + 1, "2k": 2 * k, "50k": 50 * k}[rows_per_col]
+    rng = np.random.default_rng(100 * k + m)
+    A = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+    s, v = linalg.min_singular_right_vector(A)
+    _, s_ref, Vh = np.linalg.svd(A, full_matrices=False)
+    assert abs(s - s_ref[-1]) <= 1e-12 * s_ref[-1]
+    assert abs(abs(np.vdot(v, Vh[-1].conj())) - 1.0) <= 1e-12
+
+
 def test_eigenvalues_examples():
     ev = linalg.eigenvalues(np.diag([2.0, 3.0]))
     assert np.allclose(sorted(ev.real), [2.0, 3.0], atol=1e-12)
