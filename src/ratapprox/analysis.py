@@ -60,6 +60,36 @@ class RateClass:
     diagnostics: dict
 
 
+def _test_values(f, domain, grid_size=4000):
+    """The domain's test grid and f on it; raises if f is non-finite there."""
+    grid = geometry.test_grid(domain, grid_size)
+    fv = geometry.eval_function(f, grid)
+    if not np.all(np.isfinite(fv.real) & np.isfinite(fv.imag)):
+        raise ValueError("f is non-finite on the test grid")
+    return grid, fv
+
+
+def _sup(err):
+    """Max of |errors|, with non-finite entries counted as inf."""
+    err = np.abs(err)
+    return float(np.max(np.where(np.isfinite(err), err, np.inf)))
+
+
+def _sup_error_on(f, approximant, domain, grid, fv):
+    pole_in_domain = False
+    if isinstance(approximant, BarycentricRational) and approximant.degree >= 1:
+        pl = aaa_mod.poles(approximant)
+        pole_in_domain = bool(np.any(geometry.contains(domain, pl, tol=1e-9)))
+    sup = _sup(fv - approximant(grid))
+    if pole_in_domain:
+        interior = geometry.interior_grid(domain)
+        fi = geometry.eval_function(f, interior)
+        ok = np.isfinite(fi.real) & np.isfinite(fi.imag)
+        if np.any(ok):
+            sup = max(sup, _sup(fi[ok] - approximant(interior[ok])))
+    return SupError(sup, pole_in_domain)
+
+
 def estimate_sup_error(f, approximant, domain, grid_size=4000):
     """Sup of |f - approximant| over the domain's test grid.
 
@@ -67,25 +97,8 @@ def estimate_sup_error(f, approximant, domain, grid_size=4000):
     of) the domain, the result is flagged and an interior grid is scanned
     as well.
     """
-    grid = geometry.test_grid(domain, grid_size)
-    fv = geometry.eval_function(f, grid)
-    if not np.all(np.isfinite(fv.real) & np.isfinite(fv.imag)):
-        raise ValueError("f is non-finite on the test grid")
-    pole_in_domain = False
-    if isinstance(approximant, BarycentricRational) and approximant.degree >= 1:
-        pl = aaa_mod.poles(approximant)
-        pole_in_domain = bool(np.any(geometry.contains(domain, pl, tol=1e-9)))
-    av = approximant(grid)
-    err = np.abs(fv - av)
-    sup = float(np.max(np.where(np.isfinite(err), err, np.inf)))
-    if pole_in_domain:
-        interior = geometry.interior_grid(domain)
-        fi = geometry.eval_function(f, interior)
-        ok = np.isfinite(fi.real) & np.isfinite(fi.imag)
-        ei = np.abs(fi[ok] - approximant(interior[ok]))
-        if ei.size:
-            sup = max(sup, float(np.max(np.where(np.isfinite(ei), ei, np.inf))))
-    return SupError(sup, pole_in_domain)
+    grid, fv = _test_values(f, domain, grid_size)
+    return _sup_error_on(f, approximant, domain, grid, fv)
 
 
 def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
@@ -93,9 +106,12 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
     """Degree sweep of rational and polynomial sup errors.
 
     Rational entries come from one greedy run's trajectory (re-measured on
-    the independent test grid at each recorded support set); polynomial
-    entries are fresh fits per degree.  Errors below tol_floor relative to
-    max|values| are kept but flagged "floor".
+    the independent test grid at each recorded support set).  Polynomial
+    entries come from one fit at the largest degree the samples allow: the
+    Arnoldi basis is nested, so degree n uses the first n+1 basis columns
+    and coefficients, and the basis is evaluated on the test grid once.
+    Errors below tol_floor relative to max|values| are kept but flagged
+    "floor".
     """
     degrees = [int(d) for d in degrees]
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
@@ -109,20 +125,24 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
             samples, tol=tol_floor, max_degree=max(degrees), keep_models=True
         )
     by_degree = {m.degree: m for m in aaa_report.snapshots}
+    grid, fv = _test_values(f, domain)
+    poly_degrees = [n for n in degrees if samples.points.size >= n + 1]
+    if poly_degrees:
+        pmodel = polyfit.va_fit(samples, poly_degrees[-1])
+        W = polyfit.va_basis(pmodel, grid)
 
     entries = []
     for n in degrees:
         model = by_degree.get(n)
         if model is not None:
-            sup = estimate_sup_error(f, model, domain)
+            sup = _sup_error_on(f, model, domain, grid, fv)
             flag = "pole-in-domain" if sup.pole_in_domain else (
                 "floor" if sup.value < floor else "ok")
             entries.append(Entry(n, Method.RATIONAL, sup.value, flag))
-        if samples.points.size >= n + 1:
-            pmodel = polyfit.va_fit(samples, n)
-            perr = estimate_sup_error(f, pmodel, domain)
-            flag = "floor" if perr.value < floor else "ok"
-            entries.append(Entry(n, Method.POLYNOMIAL, perr.value, flag))
+        if n in poly_degrees:
+            perr = _sup(fv - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
+            flag = "floor" if perr < floor else "ok"
+            entries.append(Entry(n, Method.POLYNOMIAL, perr, flag))
     entries.sort(key=lambda e: (e.degree, e.method.value))
     return ConvergenceRecord(fn=f, domain=domain, entries=tuple(entries))
 

@@ -8,8 +8,9 @@ Subcommands:
     potential ...           render a potential contour plot from a model
 
 Emitted CSV/JSON/SVG files are byte-stable across runs: floats are
-serialized with 17 significant digits in a fixed ordering, and files are
-written atomically (write to a temp name, then rename).
+serialized with 17 significant digits in a fixed ordering (non-finite
+floats as null in JSON), and files are written atomically (write to a
+temp name, then rename).
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def _json_dumps(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+        # strict JSON has no inf or nan
+        return _fmt_float(obj) if np.isfinite(obj) else "null"
     if isinstance(obj, str):
         import json
         return json.dumps(obj)
@@ -285,6 +287,7 @@ PRESETS = {
 }
 
 N_BOUNDARY = 500
+DEFAULT_MAX_DEGREE = 150
 
 
 def _rate_class_json(record, method):
@@ -391,15 +394,24 @@ def cmd_figure(args):
 def cmd_fit(args):
     fn = parse_function(args.fn)
     domain = parse_domain(args.domain)
+    # the greedy fit keeps at least one sample off the supports
+    max_degree = args.max_degree
+    if max_degree is None:
+        max_degree = min(DEFAULT_MAX_DEGREE, args.samples - 2)
+    elif max_degree > args.samples - 2:
+        raise UsageError(
+            f"--max-degree {max_degree} needs at least {max_degree + 2} "
+            f"samples, got --samples {args.samples}"
+        )
     samples = geometry.sample_function(fn, domain, args.samples)
-    report = aaa_mod.aaa_fit(samples, tol=args.tol, max_degree=args.max_degree)
+    report = aaa_mod.aaa_fit(samples, tol=args.tol, max_degree=max_degree)
     _atomic_write(args.out, _json_dumps(model_to_json(report.model)) + "\n")
     if args.report:
         summary = {
             "fn": fn.value,
             "domain": _domain_to_json(domain),
             "tol": args.tol,
-            "max_degree": args.max_degree,
+            "max_degree": max_degree,
             "samples": args.samples,
             "degree": report.model.degree,
             "converged": report.converged,
@@ -469,7 +481,9 @@ def build_parser():
     fit.add_argument("--fn", required=True)
     fit.add_argument("--domain", required=True)
     fit.add_argument("--tol", type=float, default=1e-12)
-    fit.add_argument("--max-degree", type=int, default=150)
+    fit.add_argument("--max-degree", type=int, default=None,
+                     help=f"at most samples - 2 (default: "
+                          f"min({DEFAULT_MAX_DEGREE}, samples - 2))")
     fit.add_argument("--samples", type=int, default=N_BOUNDARY)
     fit.add_argument("--out", default="model.json")
     fit.add_argument("--report", default=None)

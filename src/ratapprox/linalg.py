@@ -1,9 +1,9 @@
 """Dense complex linear-algebra kernel for the fitting modules.
 
 Wraps LAPACK (via numpy/scipy) behind the small set of operations the
-fitters need: least squares, smallest singular pair, eigenvalues, and
-finite eigenvalues of diagonal-mask pencils.  The smallest singular pair
-of a tall matrix comes from an SVD of its QR R factor, which has the same
+fitters need: smallest singular pair, eigenvalues, and finite
+eigenvalues of diagonal-mask pencils.  The smallest singular pair of a
+tall matrix comes from an SVD of its QR R factor, which has the same
 singular values and right singular vectors.  All functions are pure and
 deterministic; returned eigenvalue multisets are sorted by real part,
 then imaginary part.
@@ -13,17 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-
-
-class RankDeficientError(ValueError):
-    """Least-squares matrix is numerically rank deficient."""
-
-    def __init__(self, numerical_rank, shape):
-        self.numerical_rank = numerical_rank
-        super().__init__(
-            f"matrix of shape {shape} is rank deficient "
-            f"(numerical rank {numerical_rank})"
-        )
 
 
 class SingularPencilError(ValueError):
@@ -37,27 +26,6 @@ def _as_matrix(A):
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
-
-
-def solve_least_squares(A, b):
-    """Minimize ||A x - b||_2 for an m-by-k matrix A with m >= k.
-
-    Raises RankDeficientError (carrying the numerical rank) when
-    sigma_min < 1e-13 * sigma_max.
-    """
-    A = _as_matrix(A)
-    b = np.asarray(b, dtype=complex).ravel()
-    m, k = A.shape
-    if m < k:
-        raise ValueError(f"need m >= k, got shape {A.shape}")
-    if b.shape[0] != m:
-        raise ValueError(f"b has length {b.shape[0]}, expected {m}")
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0 or s[-1] < 1e-13 * smax:
-        rank = int(np.count_nonzero(s >= 1e-13 * smax)) if smax else 0
-        raise RankDeficientError(rank, A.shape)
-    return Vh.conj().T @ ((U.conj().T @ b) / s)
 
 
 def min_singular_right_vector(A):

@@ -2,8 +2,11 @@
 
 Builds a discretely orthonormal polynomial basis by an Arnoldi recurrence
 with the diagonal matrix of sample points, sidestepping the
-ill-conditioning of raw Vandermonde matrices.  Evaluation at new points
-re-runs the stored recurrence.
+ill-conditioning of raw Vandermonde matrices.  The basis is orthonormal by
+construction, so the coefficients are the projections of the data onto
+it.  Evaluation at new points re-runs the stored recurrence (va_basis).
+The basis is nested in degree: one degree-N fit and basis serve every
+lower degree.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .geometry import SampleSet
 
 
@@ -41,7 +43,12 @@ class ArnoldiPolynomial:
 
 
 def va_fit(samples, degree):
-    """Least-squares polynomial fit of SampleSet data at the given degree."""
+    """Least-squares polynomial fit of SampleSet data at the given degree.
+
+    The coefficients are the projections Q^H F / M onto the basis.  A
+    lower-degree fit's Hessenberg matrix is a leading block of this one,
+    and its coefficients are a prefix of these up to rounding.
+    """
     if not isinstance(samples, SampleSet):
         samples = SampleSet(*samples)
     Z, F = samples.points, samples.values
@@ -67,17 +74,17 @@ def va_fit(samples, degree):
             raise ArnoldiBreakdownError(k + 1)
         H[k + 1, k] = sub
         Q[:, k + 1] = q / sub
-    c = linalg.solve_least_squares(Q, F)
+    # Q^H Q = M I, and the breakdown guard keeps every column independent
+    c = Q.conj().T @ F / M
     return ArnoldiPolynomial(
         hessenberg=H, coeffs=c, degree=n, normalization_points=M
     )
 
 
-def va_eval(model, points):
-    """Evaluate the polynomial by regenerating the basis at new points."""
-    zv = np.asarray(points, dtype=complex)
-    scalar = zv.ndim == 0
-    zv = np.atleast_1d(zv).ravel()
+def va_basis(model, points):
+    """Basis matrix W (len(points) x (degree+1)) regenerated at the points
+    by the stored recurrence; its first k+1 columns are the degree-k basis."""
+    zv = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     n = model.degree
     W = np.zeros((zv.size, n + 1), dtype=complex)
     W[:, 0] = 1.0
@@ -85,7 +92,12 @@ def va_eval(model, points):
     for k in range(n):
         w = zv * W[:, k] - W[:, : k + 1] @ H[: k + 1, k]
         W[:, k + 1] = w / H[k + 1, k]
-    out = W @ model.coeffs
-    if scalar:
+    return W
+
+
+def va_eval(model, points):
+    """Evaluate the polynomial by regenerating the basis at new points."""
+    out = va_basis(model, points) @ model.coeffs
+    if np.ndim(points) == 0:
         return complex(out[0])
     return out.reshape(np.shape(points))

@@ -143,3 +143,20 @@ def test_floor_flagging():
     rat = rec.for_method(Method.RATIONAL)
     assert any(e.flag == "floor" for e in rat)
     assert all(e.flag == "floor" for e in rat if e.error < 1e-6 * np.e)
+
+
+@pytest.mark.parametrize("fn,domain,degrees", [
+    (FunctionSpec.EXP, Disk(0j, 1.0), list(range(0, 21))),
+    (FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), list(range(4, 61, 4))),
+], ids=["exp-disk", "abs-interval"])
+def test_study_polynomial_entries_match_per_degree_fits(fn, domain, degrees):
+    # oracle: a fresh fit and sup-error estimate at every degree
+    rec = convergence_study(fn, domain, degrees)
+    samples = ra.sample_function(fn, domain, 500)
+    floor = 1e-13 * np.max(np.abs(samples.values))
+    pol = rec.for_method(Method.POLYNOMIAL)
+    assert [e.degree for e in pol] == degrees
+    for e in pol:
+        ref = estimate_sup_error(fn, polyfit.va_fit(samples, e.degree), domain)
+        assert abs(e.error - ref.value) <= 1e-14
+        assert e.flag == ("floor" if ref.value < floor else "ok")

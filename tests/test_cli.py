@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,3 +172,48 @@ def test_model_file_not_json_is_usage_error(tmp_path):
     path.write_text("{\"type\": ")
     with pytest.raises(UsageError):
         load_model(str(path))
+
+
+def test_json_non_finite_floats_are_null():
+    report = {"sup_error": float("inf"), "ok": 1.5,
+              "nested": {"errors": [np.nan, 2.0, -np.inf], "rate": np.float64("nan")}}
+    text = cli._json_dumps(report)
+
+    def reject(name):
+        raise ValueError(f"non-standard constant {name}")
+
+    data = json.loads(text, parse_constant=reject)
+    assert data == {"sup_error": None, "ok": 1.5,
+                    "nested": {"errors": [None, 2.0, None], "rate": None}}
+    # finite floats keep their 17-significant-digit form
+    assert cli._json_dumps(0.1) == "0.10000000000000001"
+
+
+def test_fit_default_max_degree_follows_samples(tmp_path):
+    out, rpt = tmp_path / "model.json", tmp_path / "report.json"
+    rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples",
+               "100", "--out", str(out), "--report", str(rpt)])
+    assert rc == 0
+    summary = json.loads(rpt.read_text())
+    assert summary["max_degree"] == 98 and summary["converged"]
+    assert load_model(str(out)).degree <= 98
+
+
+def test_fit_max_degree_above_samples_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "model.json"
+    rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples",
+               "100", "--max-degree", "99", "--out", str(out)])
+    assert rc == 2
+    assert "--max-degree 99" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "ratapprox", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: ratapprox" in proc.stdout

@@ -2,45 +2,6 @@ import numpy as np
 import pytest
 
 from ratapprox import linalg
-from ratapprox.linalg import RankDeficientError
-
-
-def test_least_squares_identity():
-    x = linalg.solve_least_squares(np.eye(2), np.array([3.0, 4.0j]))
-    assert np.allclose(x, [3.0, 4.0j], atol=1e-14)
-
-
-def test_least_squares_mean_of_two():
-    x = linalg.solve_least_squares(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
-    assert abs(x[0] - 1.0) < 1e-14
-
-
-def test_least_squares_exact_solution():
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 1.0, 2.0])
-    x = linalg.solve_least_squares(A, b)
-    # normal equations by hand: [[2,1],[1,2]] x = [3,3] -> x = (1,1)
-    assert np.allclose(x, [1.0, 1.0], atol=1e-13)
-    assert np.linalg.norm(A @ x - b) < 1e-13
-
-
-def test_least_squares_rank_deficient():
-    A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(RankDeficientError) as exc:
-        linalg.solve_least_squares(A, np.array([1.0, 2.0, 3.0]))
-    assert exc.value.numerical_rank == 1
-
-
-def test_least_squares_residual_orthogonality_random():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m = rng.integers(3, 64)
-        k = rng.integers(1, m + 1)
-        A = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
-        b = rng.normal(size=m) + 1j * rng.normal(size=m)
-        x = linalg.solve_least_squares(A, b)
-        lhs = np.linalg.norm(A.conj().T @ (A @ x - b))
-        assert lhs <= 1e-9 * np.linalg.norm(A, 2) * np.linalg.norm(b)
 
 
 def test_min_singular_diagonal():

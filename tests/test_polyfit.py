@@ -107,3 +107,34 @@ def test_refit_matches_projection():
     # evaluating at the original points reproduces the fit-time projection
     m2 = va_fit(SampleSet(pts, back), 9)
     assert np.max(np.abs(va_eval(m2, pts) - back)) <= 1e-12 * np.max(np.abs(back))
+
+
+@pytest.mark.parametrize("m,n", [(40, 5), (200, 30), (500, 100)])
+def test_coeffs_match_lstsq_on_regenerated_basis(m, n):
+    rng = np.random.default_rng(m + n)
+    pts = np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+    vals = np.exp(pts) + rng.normal(size=m) + 1j * rng.normal(size=m)
+    model = va_fit(SampleSet(pts, vals), n)
+    W = polyfit.va_basis(model, pts)
+    ref = np.linalg.lstsq(W, vals, rcond=None)[0]
+    assert np.linalg.norm(model.coeffs - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_lower_degree_fit_is_prefix_of_top_fit():
+    pts = circle(300)
+    s = SampleSet(pts, np.tan(pts))
+    top = va_fit(s, 60)
+    scale = np.linalg.norm(top.coeffs)
+    for n in (0, 1, 7, 30, 59, 60):
+        m = va_fit(s, n)
+        assert np.array_equal(m.hessenberg, top.hessenberg[: n + 1, :n])
+        assert np.max(np.abs(m.coeffs - top.coeffs[: n + 1])) <= 1e-14 * scale
+
+
+def test_basis_columns_are_nested():
+    pts = circle(300)
+    s = SampleSet(pts, np.tan(pts))
+    grid = eval_grid(Disk(0j, 1.0), 4000)
+    W = polyfit.va_basis(va_fit(s, 40), grid)
+    assert W.shape == (4000, 41)
+    assert np.array_equal(polyfit.va_basis(va_fit(s, 12), grid), W[:, :13])
