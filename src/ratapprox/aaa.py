@@ -7,6 +7,12 @@ stops at a relative error tolerance.  The Loewner matrix grows by one
 column per support, and its singular pair comes from an SVD of its QR
 R factor (see linalg.min_singular_right_vector).  Spurious pole-zero
 pairs with negligible residue are removed afterwards.
+
+The arithmetic follows the data: when every sample point and value is
+real, the Loewner and Cauchy matrices, their factorizations and the
+pole/zero pencils are real (float64), so the poles and zeros of a fit to
+real data come in conjugate pairs.  Models are stored, and
+evaluated, in complex arithmetic either way.
 """
 
 from __future__ import annotations
@@ -96,7 +102,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
     """
     if not isinstance(samples, SampleSet):
         samples = SampleSet(*samples)
-    Z, F = samples.points, samples.values
+    Z, F = _real_if_exact(samples.points, samples.values)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_degree < 0:
@@ -113,7 +119,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
     # Loewner column (F - F[j]) / (Z - Z[j]) of each support j, in the order
     # the supports join; column-major, so a fit that stops early never
     # touches the memory of the columns it does not reach
-    L = np.empty((Z.size, max_degree + 1), dtype=complex, order="F")
+    L = np.empty((Z.size, max_degree + 1), dtype=F.dtype, order="F")
     is_support = np.zeros(Z.size, dtype=bool)
     # first support: largest deviation from the mean, ties at lowest index
     err = np.abs(F - F.mean())
@@ -158,12 +164,21 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
     return cleanup(report, samples)
 
 
+def _real_if_exact(*arrays):
+    """The arrays' real parts if none has a nonzero imaginary part, else
+    the arrays unchanged."""
+    if any(np.any(a.imag) for a in arrays):
+        return arrays
+    return tuple(a.real for a in arrays)
+
+
 def _arrowhead(r, first_row):
-    m = r.supports.size
-    E = np.zeros((m + 1, m + 1), dtype=complex)
+    supports, first_row = _real_if_exact(r.supports, first_row)
+    m = supports.size
+    E = np.zeros((m + 1, m + 1), dtype=first_row.dtype)
     E[0, 1:] = first_row
     E[1:, 0] = 1.0
-    E[1:, 1:] = np.diag(r.supports)
+    E[1:, 1:] = np.diag(supports)
     mask = np.ones(m + 1, dtype=bool)
     mask[0] = False
     return E, mask
@@ -213,7 +228,7 @@ def cleanup(report, samples):
     """
     if not isinstance(samples, SampleSet):
         samples = SampleSet(*samples)
-    Z, F = samples.points, samples.values
+    Z, F = _real_if_exact(samples.points, samples.values)
     fscale = float(np.max(np.abs(F)))
     diam = _diameter(Z)
     thresh = 1e-13 * fscale * diam

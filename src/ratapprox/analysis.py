@@ -106,10 +106,12 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
     """Degree sweep of rational and polynomial sup errors.
 
     Rational entries come from one greedy run's trajectory (re-measured on
-    the independent test grid at each recorded support set).  Polynomial
-    entries come from one fit at the largest degree the samples allow: the
-    Arnoldi basis is nested, so degree n uses the first n+1 basis columns
-    and coefficients, and the basis is evaluated on the test grid once.
+    the independent test grid at each recorded support set), run up to
+    the largest requested degree but at most samples - 2; degrees above
+    that get no rational entry.  Polynomial entries come from one fit at
+    the largest degree the samples allow, samples - 1: the Arnoldi basis
+    is nested, so degree n uses the first n+1 basis columns and
+    coefficients, and the basis is evaluated on the test grid once.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor".
     """
@@ -121,8 +123,9 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
     floor = tol_floor * fscale
 
     if aaa_report is None:
+        max_degree = min(max(degrees), samples.points.size - 2)
         aaa_report = aaa_mod.aaa_fit(
-            samples, tol=tol_floor, max_degree=max(degrees), keep_models=True
+            samples, tol=tol_floor, max_degree=max_degree, keep_models=True
         )
     by_degree = {m.degree: m for m in aaa_report.snapshots}
     grid, fv = _test_values(f, domain)

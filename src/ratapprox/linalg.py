@@ -1,12 +1,14 @@
-"""Dense complex linear-algebra kernel for the fitting modules.
+"""Dense linear-algebra kernel for the fitting modules.
 
 Wraps LAPACK (via numpy/scipy) behind the small set of operations the
 fitters need: smallest singular pair, eigenvalues, and finite
 eigenvalues of diagonal-mask pencils.  The smallest singular pair of a
 tall matrix comes from an SVD of its QR R factor, which has the same
-singular values and right singular vectors.  All functions are pure and
-deterministic; returned eigenvalue multisets are sorted by real part,
-then imaginary part.
+singular values and right singular vectors.  Real input is factored in
+real (float64) arithmetic and complex input in complex128; the complex
+eigenvalues of a real matrix or pencil come in conjugate pairs.
+All functions are pure and deterministic; returned eigenvalue multisets
+are complex, sorted by real part, then imaginary part.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ class SingularPencilError(ValueError):
 
 
 def _as_matrix(A):
-    A = np.asarray(A, dtype=complex)
+    """A as a 2-D float64 array, or complex128 if A is complex.
+
+    Real input stays real so that LAPACK runs its real routines on it.
+    """
+    A = np.asarray(A)
+    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={A.ndim}")
     if not np.all(np.isfinite(A)):
@@ -70,7 +77,9 @@ def finite_generalized_eigenvalues(E, mask):
     """Finite eigenvalues of the pencil (E, diag(mask)) with 0/1 mask.
 
     Infinite eigenvalues (from zero mask entries) are discarded.  With an
-    all-ones mask this reduces exactly to eigenvalues(E).
+    all-ones mask this reduces exactly to eigenvalues(E).  A real E gives
+    a real QZ (LAPACK dggev), whose complex eigenvalues come in conjugate
+    pairs (equal to a few ulps).
     """
     E = _as_matrix(E)
     n = E.shape[0]

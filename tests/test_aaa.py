@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import ratapprox as ra
-from ratapprox import aaa
+from ratapprox import aaa, linalg
 from ratapprox.geometry import Disk, FunctionSpec, Interval, SampleSet
 
 
@@ -179,8 +181,14 @@ def test_interpolation_property(exp_disk_fit):
 
 
 def _reference_fit(samples, tol, max_degree):
-    """Greedy fit and cleanup with a fresh Loewner matrix and thin SVD per solve."""
+    """Greedy fit and cleanup with a fresh Loewner matrix and thin SVD per solve.
+
+    The Loewner matrix is real when every sample point and value is real,
+    as the fit's is.
+    """
     Z, F = samples.points, samples.values
+    if not (np.any(Z.imag) or np.any(F.imag)):
+        Z, F = Z.real, F.real
 
     def solve(idx):
         rows = np.setdiff1d(np.arange(Z.size), idx)
@@ -238,3 +246,98 @@ def test_fit_matches_full_rebuild_reference(case):
     phase = np.vdot(w, rep.model.weights)
     phase /= abs(phase)
     assert np.max(np.abs(rep.model.weights - phase * w)) <= 1e-12
+
+
+def _abs_interval_samples():
+    # the samples of figure 5: real points and real values
+    return ra.sample_function(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 500)
+
+
+@pytest.mark.parametrize("case", ["abs-interval", "exp-disk"])
+def test_solves_follow_the_data_dtype(case, monkeypatch):
+    # real data must be solved in real arithmetic, greedy steps and cleanup
+    # alike, and complex data in complex arithmetic
+    seen = []
+    kernel = linalg.min_singular_right_vector
+
+    def recording(A):
+        seen.append(np.asarray(A).dtype)
+        return kernel(A)
+
+    monkeypatch.setattr(linalg, "min_singular_right_vector", recording)
+    if case == "abs-interval":
+        rep = aaa.aaa_fit(_abs_interval_samples(), tol=1e-8, max_degree=60)
+        assert rep.cleanup_removed > 0
+        expected = np.float64
+    else:
+        s = ra.sample_function(FunctionSpec.EXP, Disk(0j, 1.0), 500)
+        rep = aaa.aaa_fit(s, tol=1e-12, max_degree=150)
+        expected = np.complex128
+    assert len(seen) == len(rep.history) + rep.cleanup_removed
+    assert set(seen) == {np.dtype(expected)}
+
+
+def _conjugation_gap(v):
+    """Largest relative distance between v and conj(v), matched as multisets."""
+    cost = np.abs(v[:, None] - v.conj()[None, :]) / np.abs(v)[:, None]
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def test_real_data_poles_and_zeros_are_conjugate_pairs():
+    rep = aaa.aaa_fit(_abs_interval_samples(), tol=1e-8, max_degree=60)
+    p, z = aaa.poles(rep.model), aaa.zeros(rep.model)
+    assert p.size == z.size == rep.model.degree
+    assert np.count_nonzero(p.imag) > 0 and np.count_nonzero(z.imag) > 0
+    assert _conjugation_gap(p) <= 4 * np.finfo(float).eps
+    assert _conjugation_gap(z) <= 4 * np.finfo(float).eps
+
+
+def _degree_d_data(seed, d, real):
+    """Samples of c + sum res/(z - p) with d simple poles well off the set.
+
+    Real data sit on [-1,1]: real poles beyond +-1.3 and conjugate pairs with
+    conjugate residues.  Complex data sit on the unit circle, poles at radius
+    1.5..3.  Returns points, values and test points.
+    """
+    rng = np.random.default_rng(seed)
+    if real:
+        n_pairs = int(rng.integers(0, d // 2 + 1))
+        n_real = d - 2 * n_pairs
+        pc = (np.linspace(-1, 1, n_pairs + 2)[1:-1]
+              + 1j * rng.uniform(0.3, 1.0, n_pairs))
+        rc = rng.uniform(0.5, 2, n_pairs) * np.exp(2j * np.pi * rng.uniform(size=n_pairs))
+        side = np.where(np.arange(n_real) % 2, 1.0, -1.0)
+        pr = side * (1.3 + 0.3 * (np.arange(n_real) // 2)
+                     + rng.uniform(0, 0.1, n_real))
+        rr = rng.uniform(0.5, 2, n_real) * rng.choice([-1.0, 1.0], n_real)
+        pl = np.concatenate([pc, pc.conj(), pr])
+        res = np.concatenate([rc, rc.conj(), rr])
+        pts = np.cos(np.pi * (np.arange(300) + 0.5) / 300)
+        tst = np.linspace(-0.95, 0.95, 41)
+        c = rng.normal()
+    else:
+        ang = 2 * np.pi * (np.arange(d) + rng.uniform(0, 0.5, d)) / d
+        pl = rng.uniform(1.5, 3, d) * np.exp(1j * ang)
+        res = rng.uniform(0.5, 2, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+        pts = circle(300)
+        tst = 0.8 * np.exp(2j * np.pi * (np.arange(41) + 0.5) / 41)
+        c = rng.normal() + 1j * rng.normal()
+    vals = c + np.sum(res[:, None] / (pts[None, :] - pl[:, None]), axis=0)
+    if real:
+        vals = vals.real    # conjugate pairs cancel to rounding; drop it
+    return pts, vals, tst
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), real=st.booleans())
+def test_partial_fraction_identity(seed, d, real):
+    # r(z) = r(inf) + sum res/(z - p) on the fitted model, to rounding
+    # relative to the sizes of the terms
+    pts, vals, tst = _degree_d_data(seed, d, real)
+    m = aaa.aaa_fit(SampleSet(pts, vals), tol=1e-13, max_degree=d + 4).model
+    pl = aaa.poles(m)
+    terms = aaa.residues(m, pl)[:, None] / (tst[None, :] - pl[:, None])
+    r_inf = np.sum(m.weights * m.values) / np.sum(m.weights)
+    scale = abs(r_inf) + np.sum(np.abs(terms), axis=0)
+    assert np.all(np.abs(m(tst) - (r_inf + terms.sum(axis=0))) <= 1e-12 * scale)

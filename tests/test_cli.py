@@ -96,6 +96,20 @@ def test_study_command_even_degrees(tmp_path):
     assert degrees == set(range(4, 25, 4))
 
 
+def test_study_degrees_above_samples_are_capped(tmp_path):
+    # the greedy fit stops at samples - 2 = 98; higher rational degrees are
+    # left out, as polynomial degrees above samples - 1 are
+    out = tmp_path / "conv.csv"
+    rc = main(["study", "--fn", "exp", "--domain", "disk:0,0,1",
+               "--degrees", "2:2:150", "--samples", "100", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    rational = [int(r[0]) for r in rows if r[1] == "rational"]
+    polynomial = [int(r[0]) for r in rows if r[1] == "polynomial"]
+    assert rational and max(rational) <= 98
+    assert max(polynomial) <= 99
+
+
 def test_potential_command(tmp_path):
     model_path = tmp_path / "model.json"
     main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--out",

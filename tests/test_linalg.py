@@ -96,3 +96,41 @@ def test_generalized_all_ones_mask_matches_standard():
     ev1 = linalg.finite_generalized_eigenvalues(A, np.ones(6, dtype=bool))
     ev2 = linalg.eigenvalues(A)
     assert np.max(np.abs(np.sort_complex(ev1) - np.sort_complex(ev2))) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (13, 6), (300, 6)])
+def test_min_singular_real_matches_complex(shape):
+    # real input runs the real LAPACK routines; the pair must agree with the
+    # complex routines on the same matrix up to the unit factor of v
+    rng = np.random.default_rng(sum(shape))
+    A = rng.normal(size=shape)
+    s, v = linalg.min_singular_right_vector(A)
+    s_ref, v_ref = linalg.min_singular_right_vector(A.astype(complex))
+    assert v.dtype == np.float64
+    assert abs(s - s_ref) <= 1e-12 * s_ref
+    assert abs(abs(np.vdot(v, v_ref)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mask", [[0, 1, 1, 1, 1, 1, 1, 1], [1] * 8])
+def test_generalized_real_matches_complex(mask):
+    rng = np.random.default_rng(8)
+    E = rng.normal(size=(8, 8))
+    ev = linalg.finite_generalized_eigenvalues(E, np.array(mask, dtype=bool))
+    ev_ref = linalg.finite_generalized_eigenvalues(E.astype(complex),
+                                                   np.array(mask, dtype=bool))
+    assert ev.size == ev_ref.size == sum(mask) and np.any(ev.imag != 0)
+    # match the two multisets pairwise: nearest remaining partner
+    rest = list(ev_ref)
+    for lam in ev:
+        k = int(np.argmin(np.abs(np.array(rest) - lam)))
+        assert abs(rest.pop(k) - lam) <= 1e-12 * abs(lam)
+
+
+def test_integer_input_accepted():
+    s, v = linalg.min_singular_right_vector(np.array([[3, 0], [4, 0], [0, 1]]))
+    assert abs(s - 1.0) < 1e-12 and abs(abs(v[1]) - 1.0) < 1e-12
+    ev = linalg.finite_generalized_eigenvalues(
+        np.array([[0, 1, 1], [1, 2, 0], [1, 0, 3]]), np.array([False, True, True]))
+    assert ev.size == 1 and abs(ev[0] - 2.5) < 1e-10
+    ev = linalg.eigenvalues(np.array([[0, 1], [-1, 0]]))
+    assert np.allclose(sorted(ev, key=lambda z: z.imag), [-1j, 1j], atol=1e-12)
