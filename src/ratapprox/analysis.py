@@ -109,9 +109,12 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
     the independent test grid at each recorded support set), run up to
     the largest requested degree but at most samples - 2; degrees above
     that get no rational entry.  Polynomial entries come from one fit at
-    the largest degree the samples allow, samples - 1: the Arnoldi basis
-    is nested, so degree n uses the first n+1 basis columns and
-    coefficients, and the basis is evaluated on the test grid once.
+    the largest requested degree the samples allow, samples - 1: the
+    Arnoldi basis is nested, so degree n uses the first n+1 basis columns
+    and coefficients, and the basis is evaluated on the test grid once.
+    If that fit breaks down at basis column k, it is redone at the largest
+    requested degree below k, and degrees from k on get no polynomial
+    entry.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor".
     """
@@ -130,8 +133,14 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
     by_degree = {m.degree: m for m in aaa_report.snapshots}
     grid, fv = _test_values(f, domain)
     poly_degrees = [n for n in degrees if samples.points.size >= n + 1]
-    if poly_degrees:
-        pmodel = polyfit.va_fit(samples, poly_degrees[-1])
+    pmodel = None
+    while poly_degrees and pmodel is None:
+        try:
+            pmodel = polyfit.va_fit(samples, poly_degrees[-1])
+        except polyfit.ArnoldiBreakdownError as err:
+            # the basis is nested: every degree below the breakdown is valid
+            poly_degrees = [n for n in poly_degrees if n < err.step]
+    if pmodel is not None:
         W = polyfit.va_basis(pmodel, grid)
 
     entries = []

@@ -200,8 +200,8 @@ def parse_function(name):
 
 def parse_domain(spec):
     name, _, rest = spec.partition(":")
-    args = [float(v) for v in rest.split(",")] if rest else []
     try:
+        args = [float(v) for v in rest.split(",")] if rest else []
         if name == "disk":
             cx, cy, r = args if args else (0.0, 0.0, 1.0)
             return Disk(complex(cx, cy), r)
@@ -451,7 +451,10 @@ def cmd_potential(args):
     pole_list = (aaa_mod.poles(model) if model.degree >= 1
                  else np.empty(0, complex))
     if args.window:
-        vals = [float(v) for v in args.window.split(",")]
+        try:
+            vals = [float(v) for v in args.window.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad --window {args.window!r}: {exc}")
         if len(vals) != 4:
             raise UsageError("--window expects xmin,xmax,ymin,ymax")
         window = tuple(vals)

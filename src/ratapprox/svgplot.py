@@ -1,10 +1,14 @@
 """Dependency-free SVG rendering of potential fields.
 
-Contour polylines are extracted from the gridded log10|phi| values by
-marching squares at the field's integer levels.  Poles are drawn as red
-markers, supports as yellow markers, the domain boundary in black, and a
-labeled vertical colorbar shows the level scale.  Output is byte-stable:
-all coordinates are formatted with a fixed precision and iteration order.
+Contour segments are extracted from the gridded log10|phi| values by
+marching squares at the field's integer levels.  The corner codes and edge
+crossings of all cells are computed as numpy arrays; only the cells that a
+level crosses are visited in Python, in row-major order, to pick their
+edge pairs (saddle cells split on the cell-center mean).  Poles are drawn
+as red markers, supports as yellow markers, the domain boundary in black,
+and a labeled vertical colorbar shows the level scale.  Output is
+byte-stable: all coordinates are formatted with a fixed precision and
+iteration order.
 """
 
 from __future__ import annotations
@@ -20,57 +24,61 @@ _CASES = {
     6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
     11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(3, 0)],
 }
+# saddle codes: pairs when the cell-center mean is below / above the level
+_SADDLE_CASES = {
+    5: ([(3, 2), (1, 0)], [(3, 0), (1, 2)]),
+    10: ([(0, 3), (2, 1)], [(0, 1), (2, 3)]),
+}
 
 
 def marching_squares(xs, ys, grid, level):
     """Line segments of the level set {grid == level} on a regular grid.
 
     grid is indexed [j, i] for point (xs[i], ys[j]).  Returns a list of
-    ((x1, y1), (x2, y2)) segments in data coordinates.
+    ((x1, y1), (x2, y2)) segments in data coordinates, cell by cell in
+    row-major order.
     """
-    segments = []
     g = np.asarray(grid, dtype=float)
-    ny, nx = g.shape
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            v = (g[j, i], g[j, i + 1], g[j + 1, i + 1], g[j + 1, i])
-            code = sum(1 << k for k in range(4) if v[k] > level)
-            if code in (0, 15):
-                continue
-            x0, x1 = xs[i], xs[i + 1]
-            y0, y1 = ys[j], ys[j + 1]
-
-            def cross(edge):
-                if edge == 0:
-                    t = _frac(v[0], v[1], level)
-                    return (x0 + t * (x1 - x0), y0)
-                if edge == 1:
-                    t = _frac(v[1], v[2], level)
-                    return (x1, y0 + t * (y1 - y0))
-                if edge == 2:
-                    t = _frac(v[3], v[2], level)
-                    return (x0 + t * (x1 - x0), y1)
-                t = _frac(v[0], v[3], level)
-                return (x0, y0 + t * (y1 - y0))
-
-            if code in (5, 10):  # saddle: split on the cell-center mean
-                center_above = np.mean(v) > level
-                if code == 5:
-                    pairs = [(3, 0), (1, 2)] if center_above else [(3, 2), (1, 0)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center_above else [(0, 3), (2, 1)]
-            else:
-                pairs = _CASES[code]
-            for e1, e2 in pairs:
-                segments.append((cross(e1), cross(e2)))
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    corners = (g[:-1, :-1], g[:-1, 1:], g[1:, 1:], g[1:, :-1])
+    code = np.zeros(corners[0].shape, dtype=np.uint8)
+    for k, c in enumerate(corners):
+        code |= (c > level).astype(np.uint8) << k
+    jj, ii = np.nonzero((code != 0) & (code != 15))
+    v = [c[jj, ii] for c in corners]
+    x0, x1 = xs[ii], xs[ii + 1]
+    y0, y1 = ys[jj], ys[jj + 1]
+    t0 = _fracs(v[0], v[1], level)
+    t1 = _fracs(v[1], v[2], level)
+    t2 = _fracs(v[3], v[2], level)
+    t3 = _fracs(v[0], v[3], level)
+    points = [
+        list(zip((x0 + t0 * (x1 - x0)).tolist(), y0.tolist())),
+        list(zip(x1.tolist(), (y0 + t1 * (y1 - y0)).tolist())),
+        list(zip((x0 + t2 * (x1 - x0)).tolist(), y1.tolist())),
+        list(zip(x0.tolist(), (y0 + t3 * (y1 - y0)).tolist())),
+    ]
+    segments = []
+    for k, c in enumerate(code[jj, ii].tolist()):
+        if c in _SADDLE_CASES:  # split on the cell-center mean
+            center_above = np.mean([vc[k] for vc in v]) > level
+            pairs = _SADDLE_CASES[c][bool(center_above)]
+        else:
+            pairs = _CASES[c]
+        for e1, e2 in pairs:
+            segments.append((points[e1][k], points[e2][k]))
     return segments
 
 
-def _frac(a, b, level):
-    if b == a:
-        return 0.5
-    t = (level - a) / (b - a)
-    return min(1.0, max(0.0, t))
+def _fracs(a, b, level):
+    """Where level falls between corner values a and b, clamped to [0, 1];
+    0.5 on a flat edge (b == a) and 0 where the quotient is NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (level - a) / (b - a)
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    return np.where(b == a, 0.5, t)
 
 
 def _level_color(t):

@@ -110,6 +110,26 @@ def test_study_degrees_above_samples_are_capped(tmp_path):
     assert max(polynomial) <= 99
 
 
+def test_study_survives_arnoldi_breakdown(tmp_path):
+    # the 300-sample basis breaks down at column 298, so degree 297 is the
+    # last one the nested basis supports; rational entries are unaffected
+    out = tmp_path / "conv.csv"
+    rc = main(["study", "--fn", "abs", "--domain", "interval:-1,1",
+               "--samples", "300", "--degrees", "2:2:400", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    polynomial = [int(r[0]) for r in rows if r[1] == "polynomial"]
+    assert polynomial == list(range(2, 297, 2))
+    assert any(r[1] == "rational" for r in rows)
+
+
+def test_bad_number_in_domain_is_usage_error(tmp_path, capsys):
+    rc = main(["study", "--fn", "exp", "--domain", "disk:a",
+               "--degrees", "2:2:10", "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    assert "bad domain parameters" in capsys.readouterr().err
+
+
 def test_potential_command(tmp_path):
     model_path = tmp_path / "model.json"
     main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--out",
@@ -121,6 +141,16 @@ def test_potential_command(tmp_path):
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert 'fill="#d62728"' in text      # pole markers
     assert 'fill="#ffd500"' in text      # support markers
+
+
+def test_bad_number_in_window_is_usage_error(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--out",
+          str(model_path)])
+    rc = main(["potential", "--model", str(model_path), "--window", "a,1,2,3",
+               "--out", str(tmp_path / "plot.svg")])
+    assert rc == 2
+    assert "bad --window" in capsys.readouterr().err
 
 
 def test_invalid_figure_id_is_usage_error(tmp_path):
