@@ -1,12 +1,18 @@
 """Greedy barycentric rational fitting with pole/zero/residue extraction.
 
-The fitter selects support points one at a time at the sample of largest
-current error, solves for barycentric weights as the smallest right
-singular vector of the Loewner matrix over the remaining samples, and
-stops at a relative error tolerance.  The Loewner matrix grows by one
+The fitter (aaa_fit) selects support points one at a time at the sample of
+largest current error, solves for barycentric weights as the smallest
+right singular vector of the Loewner matrix over the remaining samples,
+and stops at a relative error tolerance.  The Loewner matrix grows by one
 column per support, and its singular pair comes from an SVD of its QR
-R factor (see linalg.min_singular_right_vector).  Spurious pole-zero
-pairs with negligible residue are removed afterwards.
+R factor (see linalg.min_singular_right_vector).  Its report carries the
+whole trajectory: the error and the model of every step.
+
+Removing spurious pole-zero pairs with negligible residue is a separate
+step, cleanup, which the caller applies to the model it returns.  Since the
+greedy choices do not depend on the stop rule, a fit at a looser tol or a
+lower max_degree is a prefix of a longer trajectory, and truncate cuts it
+out, so one greedy run can serve a degree sweep and a preset fit.
 
 The arithmetic follows the data: when every sample point and value is
 real, the Loewner and Cauchy matrices, their factorizations and the
@@ -60,12 +66,19 @@ class BarycentricRational:
 
 @dataclass(frozen=True)
 class FitReport:
+    """A greedy trajectory, and after cleanup the model it returns.
+
+    converged says that final_error, the max error of model over the
+    non-support samples, is at most tol * max|values|.
+    """
+
     model: BarycentricRational
     history: tuple          # ((degree, max_error), ...) over the greedy run
     converged: bool
+    tol: float              # the relative tolerance the fit was run at
     cleanup_removed: int = 0
     final_error: float = np.nan
-    snapshots: tuple = field(default=(), repr=False)
+    snapshots: tuple = field(default=(), repr=False)   # the model of each step
 
 
 def evaluate(r, z):
@@ -92,13 +105,14 @@ def evaluate(r, z):
     return out.reshape(np.shape(z))
 
 
-def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
-    """Greedy barycentric rational fit of a SampleSet.
+def aaa_fit(samples, tol=1e-12, max_degree=150):
+    """Greedy barycentric rational fit of a SampleSet, without cleanup.
 
     Stops when the max error over non-support samples drops below
-    tol * max|values|, or at max_degree.  The returned report carries the
-    cleaned final model and the per-degree error history; with
-    keep_models=True it also carries the intermediate models.
+    tol * max|values| (then converged is true), or at max_degree.  The
+    returned report carries the last step's model and error, and the error
+    history and model of every step.  Pass it to cleanup before returning
+    its model to a user.
     """
     if not isinstance(samples, SampleSet):
         samples = SampleSet(*samples)
@@ -114,17 +128,20 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
     fscale = float(np.max(np.abs(F)))
     support_idx = []
     history = []
-    snapshots = []
     converged = False
     # Loewner column (F - F[j]) / (Z - Z[j]) of each support j, in the order
     # the supports join; column-major, so a fit that stops early never
     # touches the memory of the columns it does not reach
     L = np.empty((Z.size, max_degree + 1), dtype=F.dtype, order="F")
+    # row k: the weights of step k, its first k + 1 entries.  The snapshot
+    # models are built from it after the loop, not one per step, so that no
+    # small allocation of a step outlives it between the large per-step
+    # arrays (kept ones fragment the heap and slow the next steps)
+    W = np.empty((max_degree + 1, max_degree + 1), dtype=F.dtype)
     is_support = np.zeros(Z.size, dtype=bool)
     # first support: largest deviation from the mean, ties at lowest index
     err = np.abs(F - F.mean())
     next_j = int(np.argmax(err))
-    model = None
     while True:
         k = len(support_idx)
         support_idx.append(next_j)
@@ -133,8 +150,8 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
             L[:, k] = (F - F[next_j]) / (Z - Z[next_j])
         rows = np.flatnonzero(~is_support)
         _, w = linalg.min_singular_right_vector(L[rows, :k + 1])
+        W[k, :k + 1] = w
         cols = np.asarray(support_idx, dtype=int)
-        model = BarycentricRational(Z[cols], F[cols], w)
         with np.errstate(all="ignore"):
             C = Z[rows, None] - Z[None, cols]
             np.divide(1.0, C, out=C)
@@ -145,23 +162,52 @@ def aaa_fit(samples, tol=1e-12, max_degree=150, keep_models=False):
         max_err = float(resid.max()) if resid.size else 0.0
         degree = len(support_idx) - 1
         history.append((degree, max_err))
-        if keep_models:
-            snapshots.append(model)
         if max_err <= tol * fscale:
             converged = True
             break
         if degree >= max_degree or rows.size <= 1:
             break
         next_j = int(rows[np.argmax(resid)])
-    report = FitReport(
-        model=model,
+    z, f = Z[cols].astype(complex), F[cols].astype(complex)
+    w = W[:cols.size].astype(complex)
+    snapshots = tuple(BarycentricRational(z[:k + 1], f[:k + 1], w[k, :k + 1])
+                      for k in range(cols.size))
+    return FitReport(
+        model=snapshots[-1],
         history=tuple(history),
         converged=converged,
+        tol=tol,
         final_error=history[-1][1],
-        snapshots=tuple(snapshots),
+        snapshots=snapshots,
     )
-    del L  # cleanup builds its own Loewner matrix; free this one first
-    return cleanup(report, samples)
+
+
+def truncate(report, samples, tol, max_degree):
+    """The report of aaa_fit(samples, tol, max_degree), cut from a longer run.
+
+    report must come from aaa_fit on the same samples at a tol no larger
+    than tol.  Its trajectory is cut at the first step whose error meets
+    tol * max|values|, or at max_degree; that is the step where the shorter
+    fit stops, and every step before it is the same.  Raises ValueError if
+    report stops before that step.
+    """
+    if not isinstance(samples, SampleSet):
+        samples = SampleSet(*samples)
+    bound = tol * float(np.max(np.abs(samples.values)))
+    for k, (degree, err) in enumerate(report.history):
+        if err <= bound or degree >= max_degree:
+            return FitReport(
+                model=report.snapshots[k],
+                history=report.history[:k + 1],
+                converged=err <= bound,
+                tol=tol,
+                final_error=err,
+                snapshots=report.snapshots[:k + 1],
+            )
+    raise ValueError(
+        f"the trajectory stops at degree {report.history[-1][0]}, before "
+        f"it meets tol {tol:g} or reaches max_degree {max_degree}"
+    )
 
 
 def _real_if_exact(*arrays):
@@ -218,13 +264,18 @@ def residues(r, pole_list):
 
 
 def cleanup(report, samples):
-    """Remove spurious (Froissart) poles with negligible residue.
+    """Remove spurious (Froissart) poles with negligible residue from the
+    model of an aaa_fit report on the same samples.
 
     For each pole whose |residue| falls below 1e-13 * max|values| *
     diameter(samples), the nearest support is dropped and the weights are
     re-solved; this repeats until no spurious poles remain.  The Loewner
     matrix over the initial supports is built once; each removal drops its
-    column and re-admits its sample as a row.
+    column and re-admits its sample as a row.  The returned report carries
+    the cleaned model, the number of removals, its max error over the
+    non-support samples as final_error, and converged re-judged on that
+    error against the report's tol.  The history and snapshots stay those
+    of the greedy run.
     """
     if not isinstance(samples, SampleSet):
         samples = SampleSet(*samples)
@@ -254,7 +305,8 @@ def cleanup(report, samples):
         worst = _negligible_pole(model, thresh)
     final_error = _max_error(model, samples)
     return replace(
-        report, model=model, cleanup_removed=removed, final_error=final_error
+        report, model=model, cleanup_removed=removed, final_error=final_error,
+        converged=final_error <= report.tol * fscale,
     )
 
 

@@ -105,10 +105,14 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
                       aaa_report=None):
     """Degree sweep of rational and polynomial sup errors.
 
-    Rational entries come from one greedy run's trajectory (re-measured on
-    the independent test grid at each recorded support set), run up to
-    the largest requested degree but at most samples - 2; degrees above
-    that get no rational entry.  Polynomial entries come from one fit at
+    Rational entries come from one greedy run's trajectory: the model of
+    each step, before any cleanup, re-measured on the independent test
+    grid.  The run goes to tol_floor and up to the largest requested degree
+    but at most samples - 2; degrees it does not reach get no rational
+    entry.  aaa_report may pass in that run instead: an aaa_fit report on
+    the same samples, run at a tol no larger than tol_floor and to at
+    least that degree cap.  No cleanup is run either way.
+    Polynomial entries come from one fit at
     the largest requested degree the samples allow, samples - 1: the
     Arnoldi basis is nested, so degree n uses the first n+1 basis columns
     and coefficients, and the basis is evaluated on the test grid once.
@@ -127,9 +131,8 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
 
     if aaa_report is None:
         max_degree = min(max(degrees), samples.points.size - 2)
-        aaa_report = aaa_mod.aaa_fit(
-            samples, tol=tol_floor, max_degree=max_degree, keep_models=True
-        )
+        aaa_report = aaa_mod.aaa_fit(samples, tol=tol_floor,
+                                     max_degree=max_degree)
     by_degree = {m.degree: m for m in aaa_report.snapshots}
     grid, fv = _test_values(f, domain)
     poly_degrees = [n for n in degrees if samples.points.size >= n + 1]

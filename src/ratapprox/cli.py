@@ -329,14 +329,25 @@ def run_figure(figure_id, out_dir):
     os.makedirs(out_dir, exist_ok=True)
 
     samples = geometry.sample_function(preset.fn, preset.domain, N_BOUNDARY)
-    report = aaa_mod.aaa_fit(samples, tol=preset.tol, max_degree=preset.max_degree)
+    # one greedy run serves the preset fit and the study: it goes to the
+    # tighter tol and the higher degree cap of the two
+    floor = 1e-13
+    trajectory = aaa_mod.aaa_fit(
+        samples, tol=min(preset.tol, floor),
+        max_degree=max(preset.max_degree,
+                       min(max(preset.degrees), N_BOUNDARY - 2)),
+    )
+    report = aaa_mod.cleanup(
+        aaa_mod.truncate(trajectory, samples, preset.tol, preset.max_degree),
+        samples,
+    )
     model = report.model
     sup = analysis.estimate_sup_error(preset.fn, model, preset.domain)
     pole_list = aaa_mod.poles(model) if model.degree >= 1 else np.empty(0, complex)
 
     record = analysis.convergence_study(
-        preset.fn, preset.domain, preset.degrees, tol_floor=1e-13,
-        n_samples=N_BOUNDARY,
+        preset.fn, preset.domain, preset.degrees, tol_floor=floor,
+        n_samples=N_BOUNDARY, aaa_report=trajectory,
     )
 
     window = potential.default_window(samples.points, pole_list)
@@ -404,7 +415,9 @@ def cmd_fit(args):
             f"samples, got --samples {args.samples}"
         )
     samples = geometry.sample_function(fn, domain, args.samples)
-    report = aaa_mod.aaa_fit(samples, tol=args.tol, max_degree=max_degree)
+    report = aaa_mod.cleanup(
+        aaa_mod.aaa_fit(samples, tol=args.tol, max_degree=max_degree), samples
+    )
     _atomic_write(args.out, _json_dumps(model_to_json(report.model)) + "\n")
     if args.report:
         summary = {

@@ -18,4 +18,5 @@ def exp_disk_samples():
 @pytest.fixture(scope="session")
 def exp_disk_fit(exp_disk_samples):
     """Degree-6 rational model of exp on the unit disk at tol 1e-12."""
-    return ra.aaa_fit(exp_disk_samples, tol=1e-12, max_degree=150)
+    return ra.cleanup(ra.aaa_fit(exp_disk_samples, tol=1e-12, max_degree=150),
+                      exp_disk_samples)

@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ratapprox as ra
 from ratapprox import aaa, linalg
-from ratapprox.geometry import Disk, FunctionSpec, Interval, SampleSet
+from ratapprox.geometry import Disk, FunctionSpec, Horseshoe, Interval, SampleSet
 
 
 def circle(n=500):
@@ -21,7 +23,8 @@ def test_exp_disk_degree_and_error(exp_disk_fit):
 
 def test_constant_samples():
     pts = circle(100)
-    rep = aaa.aaa_fit(SampleSet(pts, np.full(100, 5.0 + 0j)), tol=1e-12, max_degree=10)
+    s = SampleSet(pts, np.full(100, 5.0 + 0j))
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=10), s)
     assert rep.model.degree == 0
     # the barycentric quotient rounds at the last bit even for constant
     # data, so "zero error" lands at eps scale rather than exactly 0
@@ -31,7 +34,8 @@ def test_constant_samples():
 
 def test_simple_pole_recovered():
     pts = circle(200)
-    rep = aaa.aaa_fit(SampleSet(pts, 1.0 / (pts - 2)), tol=1e-10, max_degree=20)
+    s = SampleSet(pts, 1.0 / (pts - 2))
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-10, max_degree=20), s)
     assert rep.model.degree == 1
     p = aaa.poles(rep.model)
     assert p.size == 1
@@ -102,7 +106,8 @@ def test_pole_count_equals_degree(exp_disk_fit):
 
 def test_zeros_of_linear_data():
     pts = circle(100)
-    rep = aaa.aaa_fit(SampleSet(pts, pts - 0.5), tol=1e-12, max_degree=10)
+    s = SampleSet(pts, pts - 0.5)
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=10), s)
     zs = aaa.zeros(rep.model)
     assert np.min(np.abs(zs - 0.5)) < 1e-10
 
@@ -115,8 +120,8 @@ def test_zeros_exp_model_avoid_disk(exp_disk_fit):
 def test_residue_ignores_analytic_part():
     pts = circle(200)
     for shift in (0.0, 3.0):
-        rep = aaa.aaa_fit(SampleSet(pts, shift + 1.0 / (pts - 2)), tol=1e-10,
-                          max_degree=20)
+        s = SampleSet(pts, shift + 1.0 / (pts - 2))
+        rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-10, max_degree=20), s)
         p = aaa.poles(rep.model)
         res = aaa.residues(rep.model, p)
         k = np.argmin(np.abs(p - 2.0))
@@ -125,7 +130,8 @@ def test_residue_ignores_analytic_part():
 
 def test_residue_scaling():
     pts = circle(200)
-    rep = aaa.aaa_fit(SampleSet(pts, 2.0 / (pts - 2j)), tol=1e-10, max_degree=20)
+    s = SampleSet(pts, 2.0 / (pts - 2j))
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-10, max_degree=20), s)
     p = aaa.poles(rep.model)
     res = aaa.residues(rep.model, p)
     k = np.argmin(np.abs(p - 2j))
@@ -140,7 +146,8 @@ def test_cleanup_removes_overfit_pairs():
     # forcing the degree far past convergence manufactures spurious
     # pole-zero pairs with negligible residue
     pts = circle(500)
-    rep = aaa.aaa_fit(SampleSet(pts, np.exp(pts)), tol=1e-20, max_degree=20)
+    s = SampleSet(pts, np.exp(pts))
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-20, max_degree=20), s)
     assert rep.cleanup_removed >= 1
     assert rep.final_error <= 10 * max(e for _, e in rep.history[-3:])
 
@@ -164,7 +171,8 @@ def test_degree_d_rational_exactness():
         pl = 1.5 + rng.uniform(0.5, 1.5, d) * np.exp(2j * np.pi * rng.uniform(size=d))
         res = rng.normal(size=d) + 1j * rng.normal(size=d)
         vals = np.sum(res[:, None] / (pts[None, :] - pl[:, None]), axis=0) + 0.7
-        rep = aaa.aaa_fit(SampleSet(pts, vals), tol=1e-12, max_degree=20)
+        s = SampleSet(pts, vals)
+        rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=20), s)
         assert rep.model.degree <= d + 1
         scale = np.max(np.abs(vals))
         tst = np.exp(2j * np.pi * (np.arange(1000) + 0.5) / 1000)
@@ -232,7 +240,7 @@ def test_fit_matches_full_rebuild_reference(case):
     else:
         s = ra.sample_function(FunctionSpec.EXP, Disk(0j, 1.0), 500)
         tol, max_degree = 1e-12, 150
-    rep = aaa.aaa_fit(s, tol=tol, max_degree=max_degree)
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=tol, max_degree=max_degree), s)
     history, supports, w, removed = _reference_fit(s, tol, max_degree)
     if case == "abs-interval":
         assert removed > 0          # the case runs the cleanup path
@@ -246,6 +254,52 @@ def test_fit_matches_full_rebuild_reference(case):
     phase = np.vdot(w, rep.model.weights)
     phase /= abs(phase)
     assert np.max(np.abs(rep.model.weights - phase * w)) <= 1e-12
+
+
+_PREFIX_CASES = {
+    "exp-disk": (FunctionSpec.EXP, Disk(0j, 1.0)),
+    "abs-interval": (FunctionSpec.ABS_VAL, Interval(-1.0, 1.0)),
+    "sqrtneg-horseshoe": (FunctionSpec.SQRT_NEG, Horseshoe()),
+}
+
+
+@functools.cache
+def _trajectory(case):
+    """Samples of a case and one greedy run on them to tol 1e-13, degree 60."""
+    s = ra.sample_function(*_PREFIX_CASES[case], 500)
+    return s, aaa.aaa_fit(s, tol=1e-13, max_degree=60)
+
+
+def _same_model(a, b):
+    return (np.array_equal(a.supports, b.supports)
+            and np.array_equal(a.values, b.values)
+            and np.array_equal(a.weights, b.weights))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(_PREFIX_CASES)),
+       log_tol=st.floats(-13.0, -6.0), max_degree=st.integers(0, 60))
+@example(case="abs-interval", log_tol=-7.0, max_degree=60)     # converges
+def test_truncate_equals_the_shorter_fit(case, log_tol, max_degree):
+    # the greedy choices do not depend on the stop rule, so a fit at a
+    # looser tol or lower degree is a prefix of the longer run, bit for bit
+    tol = 10.0 ** log_tol
+    s, full = _trajectory(case)
+    cut = aaa.truncate(full, s, tol, max_degree)
+    ref = aaa.aaa_fit(s, tol=tol, max_degree=max_degree)
+    assert cut.history == ref.history
+    assert cut.converged == ref.converged
+    assert cut.final_error == ref.final_error
+    assert cut.tol == ref.tol
+    assert _same_model(cut.model, ref.model)
+    assert len(cut.snapshots) == len(ref.snapshots)
+    assert all(_same_model(a, b) for a, b in zip(cut.snapshots, ref.snapshots))
+
+
+def test_truncate_rejects_a_short_trajectory():
+    s, full = _trajectory("abs-interval")
+    with pytest.raises(ValueError):
+        aaa.truncate(full, s, 1e-14, 80)
 
 
 def _abs_interval_samples():
@@ -266,12 +320,13 @@ def test_solves_follow_the_data_dtype(case, monkeypatch):
 
     monkeypatch.setattr(linalg, "min_singular_right_vector", recording)
     if case == "abs-interval":
-        rep = aaa.aaa_fit(_abs_interval_samples(), tol=1e-8, max_degree=60)
+        s = _abs_interval_samples()
+        rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-8, max_degree=60), s)
         assert rep.cleanup_removed > 0
         expected = np.float64
     else:
         s = ra.sample_function(FunctionSpec.EXP, Disk(0j, 1.0), 500)
-        rep = aaa.aaa_fit(s, tol=1e-12, max_degree=150)
+        rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=150), s)
         expected = np.complex128
     assert len(seen) == len(rep.history) + rep.cleanup_removed
     assert set(seen) == {np.dtype(expected)}
@@ -285,7 +340,8 @@ def _conjugation_gap(v):
 
 
 def test_real_data_poles_and_zeros_are_conjugate_pairs():
-    rep = aaa.aaa_fit(_abs_interval_samples(), tol=1e-8, max_degree=60)
+    s = _abs_interval_samples()
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-8, max_degree=60), s)
     p, z = aaa.poles(rep.model), aaa.zeros(rep.model)
     assert p.size == z.size == rep.model.degree
     assert np.count_nonzero(p.imag) > 0 and np.count_nonzero(z.imag) > 0
@@ -335,7 +391,8 @@ def test_partial_fraction_identity(seed, d, real):
     # r(z) = r(inf) + sum res/(z - p) on the fitted model, to rounding
     # relative to the sizes of the terms
     pts, vals, tst = _degree_d_data(seed, d, real)
-    m = aaa.aaa_fit(SampleSet(pts, vals), tol=1e-13, max_degree=d + 4).model
+    s = SampleSet(pts, vals)
+    m = aaa.cleanup(aaa.aaa_fit(s, tol=1e-13, max_degree=d + 4), s).model
     pl = aaa.poles(m)
     terms = aaa.residues(m, pl)[:, None] / (tst[None, :] - pl[:, None])
     r_inf = np.sum(m.weights * m.values) / np.sum(m.weights)

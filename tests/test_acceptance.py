@@ -49,7 +49,7 @@ def exp_study():
 @pytest.fixture(scope="session")
 def tansq_fit():
     s = ra.sample_function(FunctionSpec.TAN_SQ, Disk(0j, 1.0), 500)
-    return ra.aaa_fit(s, tol=1e-12, max_degree=150)
+    return ra.cleanup(ra.aaa_fit(s, tol=1e-12, max_degree=150), s)
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +61,7 @@ def tansq_study():
 @pytest.fixture(scope="session")
 def exptansq_fit():
     s = ra.sample_function(FunctionSpec.EXP_TAN_SQ, Disk(0j, 1.0), 500)
-    return ra.aaa_fit(s, tol=1e-12, max_degree=150)
+    return ra.cleanup(ra.aaa_fit(s, tol=1e-12, max_degree=150), s)
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +73,7 @@ def exptansq_study():
 @pytest.fixture(scope="session")
 def sqrt2_fit():
     s = ra.sample_function(FunctionSpec.TWO_BRANCH_SQRT, Disk(0j, 1.0), 500)
-    return ra.aaa_fit(s, tol=1e-10, max_degree=150)
+    return ra.cleanup(ra.aaa_fit(s, tol=1e-10, max_degree=150), s)
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +85,7 @@ def sqrt2_study():
 @pytest.fixture(scope="session")
 def abs_fit():
     s = ra.sample_function(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 500)
-    return ra.aaa_fit(s, tol=1e-8, max_degree=60)
+    return ra.cleanup(ra.aaa_fit(s, tol=1e-8, max_degree=60), s)
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +97,7 @@ def abs_study():
 @pytest.fixture(scope="session")
 def horseshoe_fit():
     s = ra.sample_function(FunctionSpec.SQRT_NEG, Horseshoe(), 500)
-    return ra.aaa_fit(s, tol=1e-9, max_degree=60, keep_models=True)
+    return ra.cleanup(ra.aaa_fit(s, tol=1e-9, max_degree=60), s)
 
 
 @pytest.fixture(scope="session")
@@ -110,7 +110,8 @@ def figure1_runs(tmp_path_factory):
 
 def test_criterion_01_fig1_regime(exp_disk_samples):
     t0 = time.perf_counter()
-    rep = ra.aaa_fit(exp_disk_samples, tol=1e-12, max_degree=150)
+    rep = ra.cleanup(ra.aaa_fit(exp_disk_samples, tol=1e-12, max_degree=150),
+                     exp_disk_samples)
     sup = analysis.estimate_sup_error(FunctionSpec.EXP, rep.model, Disk(0j, 1.0))
     elapsed = time.perf_counter() - t0
     check(1, "exp on disk converges at low degree", [
@@ -292,7 +293,8 @@ def test_criterion_10_property_suites(exp_disk_fit):
         pl = 1.5 + rng.uniform(0.5, 1.5, d) * np.exp(2j * np.pi * rng.uniform(size=d))
         res = rng.normal(size=d) + 1j * rng.normal(size=d)
         vals = np.sum(res[:, None] / (circ[None, :] - pl[:, None]), axis=0) + 1.0
-        rep = ra.aaa_fit(SampleSet(circ, vals), tol=1e-12, max_degree=20)
+        samples = SampleSet(circ, vals)
+        rep = ra.cleanup(ra.aaa_fit(samples, tol=1e-12, max_degree=20), samples)
         tst = np.exp(2j * np.pi * (np.arange(1000) + 0.5) / 1000)
         tvals = np.sum(res[:, None] / (tst[None, :] - pl[:, None]), axis=0) + 1.0
         err = np.max(np.abs(aaa.evaluate(rep.model, tst) - tvals))

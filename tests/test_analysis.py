@@ -25,7 +25,8 @@ def synthetic_record(errors, degrees=None):
 def test_sup_error_exact_rational():
     pts = np.exp(2j * np.pi * np.arange(300) / 300)
     vals = np.exp(pts)
-    rep = aaa.aaa_fit(SampleSet(pts, vals), tol=1e-12, max_degree=20)
+    s = SampleSet(pts, vals)
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=20), s)
     sup = estimate_sup_error(FunctionSpec.EXP, rep.model, Disk(0j, 1.0))
     assert sup.value <= 1e-11 * np.e
     assert not sup.pole_in_domain
@@ -135,6 +136,18 @@ def test_study_final_degree_consistent_with_history(exp_disk_fit):
     hist_err = dict(exp_disk_fit.history).get(last.degree)
     if hist_err is not None and hist_err > 0:
         assert last.error <= 10 * hist_err and last.error >= hist_err / 10
+
+
+def test_study_runs_no_cleanup(monkeypatch):
+    # rational entries re-measure the greedy snapshots; a cleanup of the
+    # last model would be discarded
+    def forbidden(report, samples):
+        raise AssertionError("convergence_study ran a cleanup")
+
+    monkeypatch.setattr(aaa, "cleanup", forbidden)
+    rec = convergence_study(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0),
+                            list(range(4, 61, 2)))
+    assert rec.for_method(Method.RATIONAL)
 
 
 def test_floor_flagging():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ratapprox import aaa, cli, polyfit
+from ratapprox import aaa, analysis, cli, geometry, polyfit
 from ratapprox.cli import (
     UsageError,
     load_model,
@@ -52,7 +53,8 @@ def test_parse_degrees():
 
 def test_model_json_roundtrip_barycentric():
     pts = circle(200)
-    rep = aaa.aaa_fit(SampleSet(pts, np.exp(pts)), tol=1e-12, max_degree=20)
+    s = SampleSet(pts, np.exp(pts))
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=20), s)
     m = rep.model
     m2 = model_from_json(json.loads(cli._json_dumps(model_to_json(m))))
     # round trip through 17-significant-digit text is exact for doubles
@@ -231,6 +233,67 @@ def test_json_non_finite_floats_are_null():
                     "nested": {"errors": [None, 2.0, None], "rate": None}}
     # finite floats keep their 17-significant-digit form
     assert cli._json_dumps(0.1) == "0.10000000000000001"
+
+
+def test_fit_not_converged_when_cleanup_misses_tol(tmp_path):
+    # the greedy fit meets 1e-8 at degree 54, but cleanup removes supports
+    # and the returned model misses it, so the report must not claim it
+    out, rpt = tmp_path / "model.json", tmp_path / "report.json"
+    rc = main(["fit", "--fn", "abs", "--domain", "interval:-1,1", "--samples",
+               "500", "--max-degree", "60", "--tol", "1e-8", "--out", str(out),
+               "--report", str(rpt)])
+    assert rc == 0
+    summary = json.loads(rpt.read_text())
+    assert summary["cleanup_removed"] > 0
+    assert summary["sample_error"] > 1e-8
+    assert summary["converged"] is False
+
+
+@pytest.mark.parametrize("figure_id,max_degree", [
+    (1, None), (5, None), (6, None), (6, 20),
+], ids=["fig1", "fig5", "fig6", "fig6-max20"])
+def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
+                                    monkeypatch):
+    # 1: preset max_degree above the study's degree cap; 5: cleanup
+    # removes supports; 6: preset max_degree below the study's degree cap,
+    # and with max_degree 20 the preset fit stops there, short of the degree
+    # the study's fit converges at
+    preset = cli.PRESETS[figure_id]
+    if max_degree is not None:
+        preset = dataclasses.replace(preset, max_degree=max_degree)
+        monkeypatch.setitem(cli.PRESETS, figure_id, preset)
+    samples = geometry.sample_function(preset.fn, preset.domain,
+                                       cli.N_BOUNDARY)
+    # reference: a preset fit with cleanup and a study with its own fit
+    ref = aaa.cleanup(aaa.aaa_fit(samples, tol=preset.tol,
+                                  max_degree=preset.max_degree), samples)
+    ref_record = analysis.convergence_study(
+        preset.fn, preset.domain, preset.degrees, tol_floor=1e-13,
+        n_samples=cli.N_BOUNDARY)
+    cli.write_convergence_csv(str(tmp_path / "ref.csv"), ref_record)
+    if figure_id == 1:
+        assert preset.max_degree > max(preset.degrees)
+    elif figure_id == 5:
+        assert ref.cleanup_removed > 0
+    else:
+        assert preset.max_degree < max(preset.degrees)
+    if max_degree is not None:
+        assert not ref.converged and ref.history[-1][0] == max_degree
+
+    calls = []
+    fit = aaa.aaa_fit
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(aaa, "aaa_fit", counting)
+    cli.run_figure(figure_id, str(tmp_path / "fig"))
+    assert len(calls) == 1
+    assert ((tmp_path / "fig" / "convergence.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+    assert ((tmp_path / "fig" / "model.json").read_text()
+            == cli._json_dumps(model_to_json(ref.model)) + "\n")
 
 
 def test_fit_default_max_degree_follows_samples(tmp_path):

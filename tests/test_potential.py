@@ -108,7 +108,8 @@ def test_gap_scale_invariance():
 def test_walsh_exact_rational_reconstruction():
     pts = circle(300)
     vals = 1.0 / (pts - 2) + 0.5
-    rep = ra.aaa_fit(SampleSet(pts, vals), tol=1e-13, max_degree=10)
+    s = SampleSet(pts, vals)
+    rep = ra.cleanup(ra.aaa_fit(s, tol=1e-13, max_degree=10), s)
     c = ContourSpec(0j, 1.5, 128)
     fc = 1.0 / (c.points() - 2) + 0.5
     est = walsh_error(c, fc, rep.model, 0.1 + 0.2j)
