@@ -31,7 +31,8 @@ class Entry:
     degree: int
     method: Method
     error: float
-    flag: str = "ok"        # "ok" | "floor" | "pole-in-domain"
+    # "ok" | "floor" | "pole-in-domain" | "overflow" (error not finite)
+    flag: str = "ok"
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,12 @@ def _sup(err):
     """Max of |errors|, with non-finite entries counted as inf."""
     err = np.abs(err)
     return float(np.max(np.where(np.isfinite(err), err, np.inf)))
+
+
+def _flag(error, floor):
+    if not np.isfinite(error):
+        return "overflow"
+    return "floor" if error < floor else "ok"
 
 
 def _sup_error_on(f, approximant, domain, grid, fv):
@@ -120,7 +127,7 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
     requested degree below k, and degrees from k on get no polynomial
     entry.
     Errors below tol_floor relative to max|values| are kept but flagged
-    "floor".
+    "floor", and errors that are not finite are flagged "overflow".
     """
     degrees = [int(d) for d in degrees]
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
@@ -151,13 +158,12 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
         model = by_degree.get(n)
         if model is not None:
             sup = _sup_error_on(f, model, domain, grid, fv)
-            flag = "pole-in-domain" if sup.pole_in_domain else (
-                "floor" if sup.value < floor else "ok")
+            flag = ("pole-in-domain" if sup.pole_in_domain
+                    else _flag(sup.value, floor))
             entries.append(Entry(n, Method.RATIONAL, sup.value, flag))
         if n in poly_degrees:
             perr = _sup(fv - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
-            flag = "floor" if perr < floor else "ok"
-            entries.append(Entry(n, Method.POLYNOMIAL, perr, flag))
+            entries.append(Entry(n, Method.POLYNOMIAL, perr, _flag(perr, floor)))
     entries.sort(key=lambda e: (e.degree, e.method.value))
     return ConvergenceRecord(fn=f, domain=domain, entries=tuple(entries))
 

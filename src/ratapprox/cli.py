@@ -7,15 +7,18 @@ Subcommands:
     study ...               ad-hoc degree sweep, writes convergence CSV
     potential ...           render a potential contour plot from a model
 
-Emitted CSV/JSON/SVG files are byte-stable across runs: floats are
-serialized with 17 significant digits in a fixed ordering (non-finite
-floats as null in JSON), and files are written atomically (write to a
-temp name, then rename).
+Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
+thread count, and are written atomically (write to a temp name, then
+rename).  CSV floats carry 17 significant digits.  Each JSON file is one
+line from stdlib json: keys in a fixed order, floats in their shortest
+form that reads back to the same double, non-finite floats as null.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,43 +40,15 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt_float(x):
-    return format(float(x), ".17g")
-
-
-def _json_dumps(obj, indent=0):
-    pad = "  " * indent
+def _finite(obj):
+    """obj with every non-finite float as None: strict JSON has no inf or nan."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json_dumps(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        return {k: _finite(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) or
-                   (isinstance(v, (list, tuple)) and len(v) <= 2 and
-                    all(isinstance(u, (int, float)) for u in v))
-                   for v in obj)
-        if flat:
-            return "[" + ", ".join(_json_dumps(v) for v in obj) + "]"
-        items = ",\n".join(f"{pad}  {_json_dumps(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        # strict JSON has no inf or nan
-        return _fmt_float(obj) if np.isfinite(obj) else "null"
-    if isinstance(obj, str):
-        import json
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _complex_pairs(arr):
@@ -153,7 +128,6 @@ def model_from_json(data):
 
 
 def load_model(path):
-    import json
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -169,10 +143,14 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
+def _write_json(path, obj):
+    _atomic_write(path, json.dumps(_finite(obj), allow_nan=False) + "\n")
+
+
 def write_convergence_csv(path, record):
     lines = ["degree,method,error,flag"]
     for e in record.entries:
-        lines.append(f"{e.degree},{e.method.value},{_fmt_float(e.error)},{e.flag}")
+        lines.append(f"{e.degree},{e.method.value},{float(e.error):.17g},{e.flag}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -387,10 +365,10 @@ def run_figure(figure_id, out_dir):
         "report.json": os.path.join(out_dir, "report.json"),
     }
     write_convergence_csv(paths["convergence.csv"], record)
-    _atomic_write(paths["model.json"], _json_dumps(model_to_json(model)) + "\n")
+    _write_json(paths["model.json"], model_to_json(model))
     _atomic_write(paths["potential.svg"],
                   svgplot.render_potential_svg(field, preset.domain))
-    _atomic_write(paths["report.json"], _json_dumps(report_json) + "\n")
+    _write_json(paths["report.json"], report_json)
     return set(paths.values())
 
 
@@ -418,7 +396,7 @@ def cmd_fit(args):
     report = aaa_mod.cleanup(
         aaa_mod.aaa_fit(samples, tol=args.tol, max_degree=max_degree), samples
     )
-    _atomic_write(args.out, _json_dumps(model_to_json(report.model)) + "\n")
+    _write_json(args.out, model_to_json(report.model))
     if args.report:
         summary = {
             "fn": fn.value,
@@ -431,7 +409,7 @@ def cmd_fit(args):
             "sample_error": report.final_error,
             "cleanup_removed": report.cleanup_removed,
         }
-        _atomic_write(args.report, _json_dumps(summary) + "\n")
+        _write_json(args.report, summary)
     return 0
 
 
@@ -453,7 +431,7 @@ def cmd_study(args):
             "rational_rate": _rate_class_json(record, Method.RATIONAL),
             "polynomial_rate": _rate_class_json(record, Method.POLYNOMIAL),
         }
-        _atomic_write(args.report, _json_dumps(summary) + "\n")
+        _write_json(args.report, summary)
     return 0
 
 

@@ -61,11 +61,15 @@ class PotentialField:
     pole_list: np.ndarray
 
     def cell_centers(self):
-        xmin, xmax, ymin, ymax = self.window
-        nx, ny = self.resolution
-        xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
-        ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
-        return xs, ys
+        return _cell_centers(self.window, self.resolution)
+
+
+def _cell_centers(window, resolution):
+    xmin, xmax, ymin, ymax = window
+    nx, ny = resolution
+    xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
+    ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
+    return xs, ys
 
 
 def phi(z, supports, pole_list):
@@ -96,8 +100,7 @@ def potential_grid(supports, pole_list, window, resolution):
         raise ValueError("window must be nondegenerate")
     if nx < 32 or ny < 32:
         raise ValueError("resolution must be at least 32 x 32")
-    xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
-    ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
+    xs, ys = _cell_centers(window, resolution)
     zz = xs[None, :] + 1j * ys[:, None]
     with np.errstate(all="ignore"):
         vals = np.log10(np.abs(phi(zz, supports, pole_list)))

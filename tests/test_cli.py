@@ -6,8 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ratapprox import aaa, analysis, cli, geometry, polyfit
+from ratapprox.aaa import BarycentricRational
 from ratapprox.cli import (
     UsageError,
     load_model,
@@ -19,6 +21,7 @@ from ratapprox.cli import (
     parse_function,
 )
 from ratapprox.geometry import Disk, FunctionSpec, Horseshoe, Interval, SampleSet
+from ratapprox.polyfit import ArnoldiPolynomial
 
 
 def circle(n):
@@ -51,28 +54,86 @@ def test_parse_degrees():
         parse_degrees("a,b")
 
 
-def test_model_json_roundtrip_barycentric():
+def _reload(path, model):
+    cli._write_json(str(path), model_to_json(model))
+    return load_model(str(path))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_model_json_roundtrip_barycentric(tmp_path):
     pts = circle(200)
     s = SampleSet(pts, np.exp(pts))
     rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=20), s)
     m = rep.model
-    m2 = model_from_json(json.loads(cli._json_dumps(model_to_json(m))))
-    # round trip through 17-significant-digit text is exact for doubles
-    assert np.array_equal(m.supports, m2.supports)
-    assert np.array_equal(m.values, m2.values)
-    assert np.array_equal(m.weights, m2.weights)
+    m2 = _reload(tmp_path / "model.json", m)
+    # shortest round-trip floats reload every double bit for bit
+    for key in ("supports", "values", "weights"):
+        assert _same_bits(getattr(m, key), getattr(m2, key))
     z = 0.3 + 0.4j
     assert aaa.evaluate(m, z) == aaa.evaluate(m2, z)
 
 
-def test_model_json_roundtrip_arnoldi():
+def test_model_json_roundtrip_arnoldi(tmp_path):
     pts = circle(100)
     m = polyfit.va_fit(SampleSet(pts, np.exp(pts)), 7)
-    m2 = model_from_json(json.loads(cli._json_dumps(model_to_json(m))))
-    assert np.array_equal(m.hessenberg, m2.hessenberg)
-    assert np.array_equal(m.coeffs, m2.coeffs)
+    m2 = _reload(tmp_path / "model.json", m)
+    assert _same_bits(m.hessenberg, m2.hessenberg)
+    assert _same_bits(m.coeffs, m2.coeffs)
+    assert (m2.degree, m2.normalization_points) == (7, 100)
     z = np.array([0.3 + 0.4j])
     assert polyfit.va_eval(m, z) == polyfit.va_eval(m2, z)
+
+
+# signed zeros, subnormals, the smallest normal and values near +-1e308
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                0.1, 1e308, -1e308, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+_doubles = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+_complexes = st.builds(complex, _doubles, _doubles)
+
+
+def _complex_array(n):
+    return st.lists(_complexes, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=complex))
+
+
+@st.composite
+def _models(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        supports = draw(_complex_array(n).filter(
+            lambda z: np.unique(z).size == z.size))
+        weights = draw(_complex_array(n).filter(lambda w: np.any(w != 0)))
+        return BarycentricRational(supports, draw(_complex_array(n)), weights)
+    n = draw(st.integers(0, 4))
+    return ArnoldiPolynomial(
+        hessenberg=draw(_complex_array((n + 1) * n)).reshape(n + 1, n),
+        coeffs=draw(_complex_array(n + 1)), degree=n,
+        normalization_points=draw(st.integers(0, 10**6)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=_models())
+@example(model=BarycentricRational(                  # figure 6's first weight
+    np.array([1.4 + 0.4j]), np.array([0.2 - 1.2j]),
+    np.array([complex(0.25, -0.0)])))
+def test_model_json_roundtrip_is_bit_exact(model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("roundtrip") / "model.json"
+    loaded = _reload(path, model)
+    assert type(loaded) is type(model)
+    keys = (("supports", "values", "weights")
+            if isinstance(model, BarycentricRational)
+            else ("hessenberg", "coeffs"))
+    for key in keys:
+        assert _same_bits(getattr(model, key), getattr(loaded, key)), key
+    if isinstance(model, ArnoldiPolynomial):
+        assert loaded.degree == model.degree
+        assert loaded.normalization_points == model.normalization_points
 
 
 def test_fit_command(tmp_path):
@@ -123,6 +184,22 @@ def test_study_survives_arnoldi_breakdown(tmp_path):
     polynomial = [int(r[0]) for r in rows if r[1] == "polynomial"]
     assert polynomial == list(range(2, 297, 2))
     assert any(r[1] == "rational" for r in rows)
+
+
+def test_study_flags_overflowing_errors(tmp_path):
+    # the polynomial basis regenerated on the test grid overflows at high
+    # degree (inf from 176 on); an infinite error must not count as ok
+    out, rpt = tmp_path / "conv.csv", tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        rc = main(["study", "--fn", "abs", "--domain", "interval:-1,1",
+                   "--samples", "300", "--degrees", "2:2:290", "--out",
+                   str(out), "--report", str(rpt)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert any(r[3] == "overflow" for r in rows)
+    for *_, error, flag in rows:
+        assert (flag == "overflow") == (not np.isfinite(float(error)))
+    json.loads(rpt.read_text(), parse_constant=_reject)
 
 
 def test_bad_number_in_domain_is_usage_error(tmp_path, capsys):
@@ -220,19 +297,26 @@ def test_model_file_not_json_is_usage_error(tmp_path):
         load_model(str(path))
 
 
-def test_json_non_finite_floats_are_null():
+def _reject(name):
+    raise ValueError(f"non-standard constant {name}")
+
+
+def test_json_non_finite_floats_are_null(tmp_path):
+    exact = _EDGE_FLOATS + [np.float64(1 / 3), np.nextafter(1.0, 2.0)]
     report = {"sup_error": float("inf"), "ok": 1.5,
-              "nested": {"errors": [np.nan, 2.0, -np.inf], "rate": np.float64("nan")}}
-    text = cli._json_dumps(report)
-
-    def reject(name):
-        raise ValueError(f"non-standard constant {name}")
-
-    data = json.loads(text, parse_constant=reject)
+              "nested": {"errors": [np.nan, 2.0, -np.inf], "rate": np.float64("nan")},
+              "exact": exact}
+    path = tmp_path / "report.json"
+    cli._write_json(str(path), report)
+    text = path.read_text()
+    data = json.loads(text, parse_constant=_reject)
+    back = data.pop("exact")
     assert data == {"sup_error": None, "ok": 1.5,
                     "nested": {"errors": [None, 2.0, None], "rate": None}}
-    # finite floats keep their 17-significant-digit form
-    assert cli._json_dumps(0.1) == "0.10000000000000001"
+    assert text.endswith("}\n") and text.count("\n") == 1
+    # finite floats read back as the same doubles, signed zeros included
+    assert all(isinstance(v, float) for v in back)
+    assert np.array(back).tobytes() == np.array(exact, dtype=float).tobytes()
 
 
 def test_fit_not_converged_when_cleanup_misses_tol(tmp_path):
@@ -292,8 +376,9 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
     assert len(calls) == 1
     assert ((tmp_path / "fig" / "convergence.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
-    assert ((tmp_path / "fig" / "model.json").read_text()
-            == cli._json_dumps(model_to_json(ref.model)) + "\n")
+    cli._write_json(str(tmp_path / "ref.json"), model_to_json(ref.model))
+    assert ((tmp_path / "fig" / "model.json").read_bytes()
+            == (tmp_path / "ref.json").read_bytes())
 
 
 def test_fit_default_max_degree_follows_samples(tmp_path):
