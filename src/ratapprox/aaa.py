@@ -9,10 +9,13 @@ R factor (see linalg.min_singular_right_vector).  Its report carries the
 whole trajectory: the error and the model of every step.
 
 Removing spurious pole-zero pairs with negligible residue is a separate
-step, cleanup, which the caller applies to the model it returns.  Since the
-greedy choices do not depend on the stop rule, a fit at a looser tol or a
-lower max_degree is a prefix of a longer trajectory, and truncate cuts it
-out, so one greedy run can serve a degree sweep and a preset fit.
+step, cleanup, which the caller applies to the model it returns.  It
+QR-factors the Loewner matrix once, updates the small R factor on each
+removal, and takes the returned weights from one fresh solve on the final
+supports.  Since the greedy choices do not depend on the stop rule, a fit
+at a looser tol or a lower max_degree is a prefix of a longer trajectory,
+and truncate cuts it out, so one greedy run can serve a degree sweep and a
+preset fit.
 
 The arithmetic follows the data: when every sample point and value is
 real, the Loewner and Cauchy matrices, their factorizations and the
@@ -270,12 +273,16 @@ def cleanup(report, samples):
     For each pole whose |residue| falls below 1e-13 * max|values| *
     diameter(samples), the nearest support is dropped and the weights are
     re-solved; this repeats until no spurious poles remain.  The Loewner
-    matrix over the initial supports is built once; each removal drops its
-    column and re-admits its sample as a row.  The returned report carries
-    the cleaned model, the number of removals, its max error over the
-    non-support samples as final_error, and converged re-judged on that
-    error against the report's tol.  The history and snapshots stay those
-    of the greedy run.
+    matrix over the initial supports is built and QR-factored once.  A
+    removal deletes its column from the R factor and appends its sample's
+    row, and the weights come from an SVD of the re-triangularized k-by-k
+    R, so no removal factors the tall matrix again.  When that model has
+    no negligible pole left, the weights are solved once more from the
+    Loewner matrix on the final supports, and the stop is judged on that
+    fresh model.  The returned report carries the cleaned model, the
+    number of removals, its max error over the non-support samples as
+    final_error, and converged re-judged on that error against the
+    report's tol.  The history and snapshots stay those of the greedy run.
     """
     if not isinstance(samples, SampleSet):
         samples = SampleSet(*samples)
@@ -294,15 +301,25 @@ def cleanup(report, samples):
         with np.errstate(divide="ignore", invalid="ignore"):
             L = F[:, None] - F[None, cols]
             L /= Z[:, None] - Z[None, cols]
+        # L[free, keep] = QR, and only R is kept: deleting a column of both
+        # and appending a row to both leaves them the same singular values
+        # and right singular vectors
+        R = linalg.r_factor(L[free])
     while worst is not None:
         # drop the support nearest the most negligible pole, one per pass
-        q = np.flatnonzero(keep)[np.argmin(np.abs(model.supports - worst))]
+        i = np.argmin(np.abs(model.supports - worst))
+        q = np.flatnonzero(keep)[i]
         keep[q] = False
         free[cols[q]] = True
-        _, w = linalg.min_singular_right_vector(L[np.ix_(free, keep)])
+        R = linalg.r_factor(np.vstack([np.delete(R, i, axis=1), L[cols[q], keep]]))
+        _, w = linalg.min_singular_right_vector(R)
         model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
         removed += 1
         worst = _negligible_pole(model, thresh)
+        if worst is None:
+            _, w = linalg.min_singular_right_vector(L[np.ix_(free, keep)])
+            model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
+            worst = _negligible_pole(model, thresh)
     final_error = _max_error(model, samples)
     return replace(
         report, model=model, cleanup_removed=removed, final_error=final_error,

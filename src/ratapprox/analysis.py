@@ -132,6 +132,8 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
     degrees = [int(d) for d in degrees]
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be nonempty and strictly increasing")
+    if degrees[0] < 0:
+        raise ValueError(f"degrees must be nonnegative, got {degrees[0]}")
     samples = geometry.sample_function(f, domain, n_samples)
     fscale = float(np.max(np.abs(samples.values)))
     floor = tol_floor * fscale

@@ -180,6 +180,8 @@ def parse_domain(spec):
     name, _, rest = spec.partition(":")
     try:
         args = [float(v) for v in rest.split(",")] if rest else []
+        if not all(math.isfinite(v) for v in args):
+            raise ValueError("parameters must be finite")
         if name == "disk":
             cx, cy, r = args if args else (0.0, 0.0, 1.0)
             return Disk(complex(cx, cy), r)
@@ -199,7 +201,14 @@ def parse_domain(spec):
     )
 
 
+# a degree-n fit needs more than n samples and an (n + 1)-column matrix over
+# them, so a larger degree could not be fitted in memory
+MAX_DEGREE = 100_000
+
+
 def parse_degrees(spec):
+    """Degrees from start:step:stop, start:stop or a comma list, each in
+    0..MAX_DEGREE."""
     try:
         if ":" in spec:
             parts = [int(v) for v in spec.split(":")]
@@ -209,14 +218,20 @@ def parse_degrees(spec):
                 start, step, stop = parts
             else:
                 raise ValueError("expected start:step:stop")
-            degrees = list(range(start, stop + 1, step))
+            degrees = range(start, stop + 1, step)
         else:
             degrees = [int(v) for v in spec.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad degree spec {spec!r}: {exc}")
     if not degrees:
         raise UsageError(f"empty degree spec {spec!r}")
-    return degrees
+    # a range is monotone: its ends bound it before it is listed
+    ends = (degrees[0], degrees[-1]) if isinstance(degrees, range) else degrees
+    if min(ends) < 0:
+        raise UsageError(f"negative degree {min(ends)} in {spec!r}")
+    if max(ends) > MAX_DEGREE:
+        raise UsageError(f"degree {max(ends)} in {spec!r} is above {MAX_DEGREE}")
+    return list(degrees)
 
 
 def _domain_to_json(domain):

@@ -1,12 +1,15 @@
 """Dense linear-algebra kernel for the fitting modules.
 
 Wraps LAPACK (via numpy/scipy) behind the small set of operations the
-fitters need: smallest singular pair, eigenvalues, and finite
-eigenvalues of diagonal-mask pencils.  The smallest singular pair of a
-tall matrix comes from an SVD of its QR R factor, which has the same
-singular values and right singular vectors.  Real input is factored in
-real (float64) arithmetic and complex input in complex128; the complex
-eigenvalues of a real matrix or pencil come in conjugate pairs.
+fitters need: the R factor of a QR factorization, smallest singular
+pair, eigenvalues, and finite eigenvalues of diagonal-mask pencils.  The
+smallest singular pair of a tall matrix comes from an SVD of its R
+factor, which has the same singular values and right singular vectors.
+Deleting a column of both, or appending a row to both, keeps that true,
+so a caller can update a small R instead of re-factoring a tall A.  Real
+input is factored in real (float64) arithmetic and complex input in
+complex128; the complex eigenvalues of a real matrix or pencil come in
+conjugate pairs.
 All functions are pure and deterministic; returned eigenvalue multisets
 are complex, sorted by real part, then imaginary part.
 """
@@ -35,6 +38,15 @@ def _as_matrix(A):
     return A
 
 
+def r_factor(A):
+    """The upper-trapezoidal R of A = QR, min(m, k)-by-k.
+
+    float64 for real input and complex128 for complex.  A^H A = R^H R, so
+    R has the singular values and right singular vectors of A.
+    """
+    return np.linalg.qr(_as_matrix(A), mode="r")
+
+
 def min_singular_right_vector(A):
     """Smallest singular value of A and an associated unit right vector.
 
@@ -50,7 +62,7 @@ def min_singular_right_vector(A):
     if m >= 2 * k:
         # gesdd itself starts with this geqrf step for m >= 11k/6, so the
         # pair equals that of the thin SVD of A (bit for bit on OpenBLAS)
-        A = np.linalg.qr(A, mode="r")
+        A = r_factor(A)
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
     v = Vh[-1].conj()
     return float(s[-1]), v / np.linalg.norm(v)

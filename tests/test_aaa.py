@@ -328,7 +328,9 @@ def test_solves_follow_the_data_dtype(case, monkeypatch):
         s = ra.sample_function(FunctionSpec.EXP, Disk(0j, 1.0), 500)
         rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=150), s)
         expected = np.complex128
-    assert len(seen) == len(rep.history) + rep.cleanup_removed
+    # one solve per greedy step and per removal, and a cleanup that removes
+    # anything re-solves once more on its final supports
+    assert len(seen) == len(rep.history) + rep.cleanup_removed + (rep.cleanup_removed > 0)
     assert set(seen) == {np.dtype(expected)}
 
 
@@ -398,3 +400,84 @@ def test_partial_fraction_identity(seed, d, real):
     r_inf = np.sum(m.weights * m.values) / np.sum(m.weights)
     scale = abs(r_inf) + np.sum(np.abs(terms), axis=0)
     assert np.all(np.abs(m(tst) - (r_inf + terms.sum(axis=0))) <= 1e-12 * scale)
+
+
+def _refactor_cleanup(report, samples):
+    """cleanup with a fresh solve of L[free, keep] on every removal, the
+    oracle of cleanup's R-factor updates: (supports, weights, removed)."""
+    Z, F = aaa._real_if_exact(samples.points, samples.values)
+    thresh = 1e-13 * float(np.max(np.abs(F))) * aaa._diameter(Z)
+    model = report.model
+    removed = 0
+    cols = np.array([np.flatnonzero(Z == s)[0] for s in model.supports])
+    keep = np.ones(cols.size, dtype=bool)
+    free = np.ones(Z.size, dtype=bool)
+    free[cols] = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = (F[:, None] - F[None, cols]) / (Z[:, None] - Z[None, cols])
+    worst = aaa._negligible_pole(model, thresh)
+    while worst is not None:
+        q = np.flatnonzero(keep)[np.argmin(np.abs(model.supports - worst))]
+        keep[q] = False
+        free[cols[q]] = True
+        _, w = linalg.min_singular_right_vector(L[np.ix_(free, keep)])
+        model = aaa.BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
+        removed += 1
+        worst = aaa._negligible_pole(model, thresh)
+    return model.supports, model.weights, removed
+
+
+@functools.cache
+def _cleanup_case(case):
+    if case == "figure5":
+        s = _abs_interval_samples()
+        fit = aaa.aaa_fit(s, tol=1e-8, max_degree=60)
+    else:
+        s = ra.sample_function(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 2000)
+        fit = aaa.aaa_fit(s, tol=1e-13, max_degree=100)
+    return s, fit, aaa.cleanup(fit, s)
+
+
+@pytest.mark.parametrize("case", ["figure5", "abs-2000"])
+def test_cleanup_weights_are_a_fresh_solve(case):
+    # the R updates only steer the removals; the returned weights are the
+    # solve of the Loewner matrix on the final supports, bit for bit
+    s, _, rep = _cleanup_case(case)
+    assert rep.cleanup_removed > 0
+    Z, F = aaa._real_if_exact(s.points, s.values)
+    cols = np.array([np.flatnonzero(Z == z)[0] for z in rep.model.supports])
+    free = np.ones(Z.size, dtype=bool)
+    free[cols] = False
+    L = (F[free, None] - F[None, cols]) / (Z[free, None] - Z[None, cols])
+    _, w = linalg.min_singular_right_vector(L)
+    assert rep.model.weights.tobytes() == w.astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("case", ["figure5", "abs-2000"])
+def test_cleanup_removes_what_the_refactor_oracle_removes(case):
+    s, fit, rep = _cleanup_case(case)
+    supports, weights, removed = _refactor_cleanup(fit, s)
+    assert rep.cleanup_removed == removed
+    assert np.array_equal(rep.model.supports, supports)
+    assert rep.model.weights.tobytes() == weights.tobytes()
+
+
+def test_cleanup_with_fewer_free_rows_than_columns_raises_as_before():
+    # a degree-(M-2) model of 1/(z - 3) on M samples: all but one sample
+    # are supports, so L[free] has one row and R is 1-by-(M-1), and the
+    # model's 19 cancelling pole-zero pairs have negligible residue
+    pts = np.exp(2j * np.pi * np.arange(22) / 22)
+    s = SampleSet(pts, 1.0 / (pts - 3.0))
+    z, f = s.points[:21], s.values[:21]
+    row = (s.values[21] - f) / (s.points[21] - z)
+    w = np.linalg.svd(row[None, :])[2][-1].conj()
+    model = aaa.BarycentricRational(z, f, w)
+    fit = aaa.FitReport(model=model, history=((20, 0.0),), converged=True,
+                        tol=1e-13, final_error=0.0, snapshots=(model,))
+    with pytest.raises(ValueError) as expected:
+        _refactor_cleanup(fit, s)
+    assert str(expected.value) == "need m >= k, got shape (2, 20)"
+    with pytest.raises(ValueError) as got:
+        aaa.cleanup(fit, s)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)

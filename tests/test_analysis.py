@@ -124,6 +124,9 @@ def test_study_rejects_bad_degrees():
         convergence_study(FunctionSpec.EXP, Disk(0j, 1.0), [4, 2])
     with pytest.raises(ValueError):
         convergence_study(FunctionSpec.EXP, Disk(0j, 1.0), [])
+    # W[:, :n + 1] with n < 0 would drop basis columns from the end
+    with pytest.raises(ValueError, match="nonnegative"):
+        convergence_study(FunctionSpec.EXP, Disk(0j, 1.0), [-2, 0, 2])
 
 
 def test_study_final_degree_consistent_with_history(exp_disk_fit):

@@ -50,8 +50,31 @@ def test_parse_domain():
 def test_parse_degrees():
     assert parse_degrees("4:4:60") == list(range(4, 61, 4))
     assert parse_degrees("1,2,5") == [1, 2, 5]
-    with pytest.raises(UsageError):
-        parse_degrees("a,b")
+    assert parse_degrees(f"0:{cli.MAX_DEGREE}") == list(range(cli.MAX_DEGREE + 1))
+    for bad in ("a,b", "-2:2:6", "3,-1", "0:1:100001", "-10**30", "0:1:" + "9" * 40):
+        with pytest.raises(UsageError):
+            parse_degrees(bad)
+
+
+_DOMAIN_TEXT = st.builds(
+    "{}:{}".format, st.sampled_from(["disk", "interval", "horseshoe", "", "x"]),
+    st.lists(st.one_of(st.floats(), st.integers(), st.text(max_size=4)).map(str),
+             max_size=4).map(",".join))
+_DEGREE_TEXT = st.builds(
+    str.join, st.sampled_from([":", ","]),
+    st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(),
+                       st.text(max_size=3)).map(str), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parser=st.sampled_from([parse_function, parse_domain, parse_degrees]),
+       text=st.one_of(st.text(), _DOMAIN_TEXT, _DEGREE_TEXT))
+def test_parsers_raise_only_usage_errors(parser, text):
+    # any text either parses or is a usage error (exit 2), never a traceback
+    try:
+        parser(text)
+    except UsageError:
+        pass
 
 
 def _reload(path, model):
@@ -200,6 +223,26 @@ def test_study_flags_overflowing_errors(tmp_path):
     for *_, error, flag in rows:
         assert (flag == "overflow") == (not np.isfinite(float(error)))
     json.loads(rpt.read_text(), parse_constant=_reject)
+
+
+def test_study_rejects_negative_degrees(tmp_path, capsys):
+    # W[:, :n + 1] with n = -2 kept all but the last basis column, and the
+    # study wrote a false polynomial row for degree -2
+    out = tmp_path / "c.csv"
+    rc = main(["study", "--fn", "exp", "--domain", "disk:0,0,1",
+               "--degrees=-2:2:6", "--samples", "100", "--out", str(out)])
+    assert rc == 2
+    assert "negative degree -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain", ["disk:nan,0,1", "disk:0,0,1e400",
+                                    "interval:1,inf", "horseshoe:0.4,inf,0.25"])
+def test_non_finite_domain_number_is_usage_error(domain, tmp_path, capsys):
+    rc = main(["study", "--fn", "exp", "--domain", domain,
+               "--degrees", "2:2:10", "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_bad_number_in_domain_is_usage_error(tmp_path, capsys):

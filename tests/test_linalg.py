@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratapprox import linalg
 
@@ -134,3 +135,48 @@ def test_integer_input_accepted():
     assert ev.size == 1 and abs(ev[0] - 2.5) < 1e-10
     ev = linalg.eigenvalues(np.array([[0, 1], [-1, 0]]))
     assert np.allclose(sorted(ev, key=lambda z: z.imag), [-1j, 1j], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 4), (2, 5)])
+@pytest.mark.parametrize("real", [True, False])
+def test_r_factor_shape_dtype_and_gram(shape, real):
+    rng = np.random.default_rng(sum(shape))
+    A = rng.normal(size=shape)
+    if not real:
+        A = A + 1j * rng.normal(size=shape)
+    R = linalg.r_factor(A)
+    assert R.shape == (min(shape), shape[1])
+    assert R.dtype == (np.float64 if real else np.complex128)
+    assert np.array_equal(R, np.triu(R))
+    assert np.allclose(R.conj().T @ R, A.conj().T @ A, rtol=0, atol=1e-12)
+
+
+def test_r_factor_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        linalg.r_factor(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 24),
+       extra=st.integers(-24, 40), steps=st.integers(1, 12), real=st.booleans())
+def test_r_updates_keep_the_singular_values(seed, k, extra, steps, real):
+    # deleting a column of R and appending a row of L, then re-factoring
+    # the small matrix, is the R factor of L with that column deleted and
+    # that row appended: the same singular values, to rounding
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x if real else x + 1j * rng.normal(size=shape)
+
+    L = draw(max(k + extra, 1), k)     # fewer rows than columns too
+    R = linalg.r_factor(L)
+    for _ in range(min(steps, k - 1)):
+        i = int(rng.integers(L.shape[1]))
+        row = draw(1, L.shape[1] - 1)
+        L = np.vstack([np.delete(L, i, axis=1), row])
+        R = linalg.r_factor(np.vstack([np.delete(R, i, axis=1), row]))
+    s_upd = np.linalg.svd(R, compute_uv=False)
+    s_ref = np.linalg.svd(linalg.r_factor(L), compute_uv=False)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(s_upd - s_ref)) <= 64 * eps * np.linalg.norm(L, 2)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ratapprox as ra
-from ratapprox import aaa, potential
+from ratapprox import aaa, cli, potential
 from ratapprox.geometry import Disk, FunctionSpec, SampleSet
 from ratapprox.potential import (
     ContourSpec,
@@ -103,6 +104,70 @@ def test_gap_scale_invariance():
     s = 17.0
     f2 = potential_grid(s * sup, s * pol, (-6 * s, 6 * s, -6 * s, 6 * s), (64, 64))
     assert abs(potential_gap(f1) - potential_gap(f2)) < 1e-9
+
+
+def _gap_whole_grid(field):
+    """potential_gap with |z - pt| over the whole grid per point: its oracle."""
+    xmin, xmax, ymin, ymax = field.window
+    radius = 0.01 * np.hypot(xmax - xmin, ymax - ymin)
+    xs, ys = field.cell_centers()
+    zz = xs[None, :] + 1j * ys[:, None]
+    keep = np.ones(zz.shape, dtype=bool)
+    for pt in np.concatenate([field.supports, field.pole_list]):
+        keep &= np.abs(zz - pt) > radius
+    vals = field.log_abs_phi[keep]
+    if vals.size == 0:
+        return 0.0
+    return float(vals.max() - vals.min())
+
+
+def test_gap_matches_whole_grid_oracle_on_figures(tmp_path, monkeypatch):
+    fields = []
+    gap = potential.potential_gap
+
+    def recording(field):
+        fields.append(field)
+        return gap(field)
+
+    monkeypatch.setattr(potential, "potential_gap", recording)
+    for n in range(1, 7):
+        cli.run_figure(n, str(tmp_path / str(n)))
+    assert len(fields) == 6
+    for field in fields:
+        assert gap(field) == _gap_whole_grid(field)
+
+
+def test_gap_block_keeps_its_edge():
+    # the radius is exactly one cell width, so the cells beside each point
+    # sit at |z - pt| = radius: excluded, and on the edge of the block
+    field = potential_grid([10.5 + 20.5j], [40.5 + 60.5j],
+                           (0.0, 60.0, 0.0, 80.0), (60, 80))
+    assert 0.01 * np.hypot(60.0, 80.0) == 1.0
+    assert potential_gap(field) == _gap_whole_grid(field)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_sup=st.integers(1, 12),
+       n_pol=st.integers(0, 12), nx=st.integers(32, 70), ny=st.integers(32, 70),
+       on_centers=st.booleans())
+def test_gap_matches_whole_grid_oracle_on_random_fields(seed, n_sup, n_pol, nx,
+                                                        ny, on_centers):
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.normal(size=2) * 10.0 ** rng.integers(-3, 4)
+    w, h = 10.0 ** rng.uniform(-3, 3, size=2)
+    window = (x0, x0 + w, y0, y0 + h)
+    if on_centers:     # points on cell centers and on the window edges
+        xs, ys = potential._cell_centers(window, (nx, ny))
+        xs = np.concatenate([xs, [x0, x0 + w]])
+        ys = np.concatenate([ys, [y0, y0 + h]])
+        pts = rng.choice(xs, n_sup + n_pol) + 1j * rng.choice(ys, n_sup + n_pol)
+    else:              # points inside and around the window
+        pts = (x0 + w * rng.uniform(-0.2, 1.2, n_sup + n_pol)
+               + 1j * (y0 + h * rng.uniform(-0.2, 1.2, n_sup + n_pol)))
+    pts = np.unique(pts)
+    sup, pol = pts[:n_sup], pts[n_sup:]
+    field = potential_grid(sup, pol, window, (nx, ny))
+    assert potential_gap(field) == _gap_whole_grid(field)
 
 
 def test_walsh_exact_rational_reconstruction():
