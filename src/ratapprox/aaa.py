@@ -93,9 +93,9 @@ def evaluate(r, z):
     zv = np.asarray(z, dtype=complex)
     scalar = zv.ndim == 0
     zv = np.atleast_1d(zv).ravel()
-    D = zv[:, None] - r.supports[None, :]
-    hit_rows, hit_cols = np.nonzero(D == 0)
     with np.errstate(all="ignore"):
+        D = zv[:, None] - r.supports[None, :]
+        hit_rows, hit_cols = np.nonzero(D == 0)
         C = r.weights[None, :] / D
         num = C @ r.values
         den = C.sum(axis=1)

@@ -32,8 +32,8 @@ class Interval:
     b: float = 1.0
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("interval requires a < b")
+        if not (self.a < self.b and np.isfinite(self.b - self.a)):
+            raise ValueError("interval requires a < b and a finite length b - a")
 
 
 @dataclass(frozen=True)
@@ -230,18 +230,23 @@ def _horseshoe_points(dom, m, offset):
     return pts
 
 
+def _trace(domain, m, offset):
+    """m boundary points at phase offset 0 (fitting set) or 0.5 (testing)."""
+    if isinstance(domain, Disk):
+        theta = 2 * np.pi * (np.arange(m) + offset) / m
+        return domain.center + domain.radius * np.exp(1j * theta)
+    if isinstance(domain, Interval):
+        return _interval_points(domain, m, offset)
+    if isinstance(domain, Horseshoe):
+        return _horseshoe_points(domain, m, offset)
+    raise ValueError(f"unknown domain {domain!r}")
+
+
 def boundary_samples(domain, m):
     """m pairwise-distinct points tracing the boundary of the domain once."""
     if m < 8:
         raise ValueError("need at least 8 boundary samples")
-    if isinstance(domain, Disk):
-        theta = 2 * np.pi * np.arange(m) / m
-        return domain.center + domain.radius * np.exp(1j * theta)
-    if isinstance(domain, Interval):
-        return _interval_points(domain, m, offset=0)
-    if isinstance(domain, Horseshoe):
-        return _horseshoe_points(domain, m, offset=0.0)
-    raise ValueError(f"unknown domain {domain!r}")
+    return _trace(domain, m, 0)
 
 
 def test_grid(domain, m):
@@ -249,14 +254,7 @@ def test_grid(domain, m):
     fitting set produced by boundary_samples (phase-offset sampling)."""
     if m < 64:
         raise ValueError("need at least 64 test points")
-    if isinstance(domain, Disk):
-        theta = 2 * np.pi * (np.arange(m) + 0.5) / m
-        return domain.center + domain.radius * np.exp(1j * theta)
-    if isinstance(domain, Interval):
-        return _interval_points(domain, m, offset=0.5)
-    if isinstance(domain, Horseshoe):
-        return _horseshoe_points(domain, m, offset=0.5)
-    raise ValueError(f"unknown domain {domain!r}")
+    return _trace(domain, m, 0.5)
 
 
 def contains(domain, z, tol=1e-9):

@@ -62,7 +62,7 @@ def min_singular_right_vector(A):
     if m >= 2 * k:
         # gesdd itself starts with this geqrf step for m >= 11k/6, so the
         # pair equals that of the thin SVD of A (bit for bit on OpenBLAS)
-        A = r_factor(A)
+        A = np.linalg.qr(A, mode="r")
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
     v = Vh[-1].conj()
     return float(s[-1]), v / np.linalg.norm(v)

@@ -73,10 +73,12 @@ def _cell_centers(window, resolution):
 
 
 def phi(z, supports, pole_list):
-    """The node/pole quotient, with interleaved factors to avoid overflow."""
-    s = np.asarray(supports, dtype=complex).ravel()
-    p = np.asarray(pole_list, dtype=complex).ravel()
-    zv = np.asarray(z, dtype=complex)
+    """The node/pole quotient, with interleaved factors to avoid overflow,
+    computed in the precision of the inputs and never below complex128."""
+    dtype = np.result_type(*map(np.asarray, (z, supports, pole_list)), complex)
+    s = np.asarray(supports, dtype=dtype).ravel()
+    p = np.asarray(pole_list, dtype=dtype).ravel()
+    zv = np.asarray(z, dtype=dtype)
     scalar = zv.ndim == 0
     zv = np.atleast_1d(zv)
     out = np.ones_like(zv)
@@ -164,15 +166,10 @@ def walsh_error(contour, f_on_contour, r, z):
     ext = np.clongdouble
     theta = 2 * np.pi * np.arange(contour.nodes, dtype=np.longdouble) / contour.nodes
     t = ext(c) + ext(rho) * np.exp(1j * theta).astype(ext)
-    ze = ext(complex(z))
+    ze = np.atleast_1d(ext(complex(z)))
     sup = r.supports.astype(ext)
     pol = pl.astype(ext)
-    ratio = np.ones_like(t)
-    for k in range(max(sup.size, pol.size)):
-        if k < sup.size:
-            ratio = ratio * ((ze - sup[k]) / (t - sup[k]))
-        if k < pol.size:
-            ratio = ratio * ((t - pol[k]) / (ze - pol[k]))
+    ratio = phi(ze, sup, pol) / phi(t, sup, pol)
     integrand = ratio * fvals.astype(ext) / (t - ze)
     total = np.sum(integrand * (t - ext(c))) / contour.nodes
     return complex(total)

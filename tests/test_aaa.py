@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ratapprox as ra
@@ -181,11 +181,22 @@ def test_degree_d_rational_exactness():
         assert err <= 1e-11 * scale
 
 
-def test_interpolation_property(exp_disk_fit):
-    m = exp_disk_fit.model
-    nz = m.weights != 0
-    ev = aaa.evaluate(m, m.supports[nz])
-    assert np.array_equal(ev, m.values[nz])
+def _vectors(real, n, unique=False):
+    elem = (st.floats(allow_nan=False, allow_infinity=False) if real
+            else st.complex_numbers(allow_nan=False, allow_infinity=False))
+    return st.lists(elem, min_size=n, max_size=n, unique=unique)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), real=st.booleans(), n=st.integers(1, 12))
+def test_interpolation_property(data, real, n):
+    # evaluate returns f_k at every support z_k bit for bit, for real and
+    # complex models, zero weights and overflowing terms included
+    z, f, w = (np.array(data.draw(_vectors(real, n, unique)), dtype=complex)
+               for unique in (True, False, False))
+    assume(np.any(w != 0))
+    m = aaa.BarycentricRational(z, f, w)
+    assert aaa.evaluate(m, m.supports).tobytes() == m.values.tobytes()
 
 
 def _reference_fit(samples, tol, max_degree):

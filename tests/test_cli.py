@@ -246,10 +246,13 @@ def test_non_finite_domain_number_is_usage_error(domain, tmp_path, capsys):
 
 
 def test_bad_number_in_domain_is_usage_error(tmp_path, capsys):
-    rc = main(["study", "--fn", "exp", "--domain", "disk:a",
-               "--degrees", "2:2:10", "--out", str(tmp_path / "c.csv")])
-    assert rc == 2
-    assert "bad domain parameters" in capsys.readouterr().err
+    # -1e308,1e308: finite ends whose difference b - a overflows
+    for domain in ("disk:a", "interval:-1e308,1e308"):
+        rc = main(["study", "--fn", "exp", "--domain", domain,
+                   "--degrees", "2:2:6", "--samples", "100",
+                   "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert "bad domain parameters" in capsys.readouterr().err
 
 
 def test_potential_command(tmp_path):

@@ -22,6 +22,8 @@ def test_domain_validation():
         Disk(0j, 0.0)
     with pytest.raises(ValueError):
         Interval(1.0, 1.0)
+    with pytest.raises(ValueError, match="finite length"):
+        Interval(-1e308, 1e308)
     with pytest.raises(ValueError):
         Horseshoe(1.5, 0.5, 0.3)
     with pytest.raises(ValueError):

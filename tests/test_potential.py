@@ -27,6 +27,15 @@ def test_phi_examples():
     assert abs(phi(2.0 + 0j, [0.0, 1.0], []) - 2.0) < 1e-14
 
 
+def test_phi_follows_input_precision():
+    # lists and float input give complex128; extended input stays extended
+    assert phi([0.5, 1.5], [0.0], [2.0]).dtype == np.complex128
+    assert phi(np.float32(0.5), [0.0], []) == 0.5
+    ext = np.array([0.5 + 0.25j], dtype=np.clongdouble)
+    assert phi(ext, [0.0, 1.0], [2.0]).dtype == np.clongdouble
+    assert phi([0.5], np.array([0.0], dtype=np.clongdouble), []).dtype == np.clongdouble
+
+
 def test_phi_at_pole_is_infinite():
     v = phi(2.0 + 0j, [0.0], [2.0 + 0j])
     assert not np.isfinite(v.real)
@@ -194,6 +203,35 @@ def test_walsh_matches_direct_fig1(exp_disk_fit):
         est = walsh_error(c, fc, m, z)
         direct = np.exp(z) - aaa.evaluate(m, z)
         assert abs(est - direct) <= 5e-15
+
+
+def _walsh_interleaved(contour, fvals, r, z):
+    """The trapezoid sum with one interleaved extended-precision loop."""
+    ext = np.clongdouble
+    nodes = contour.nodes
+    theta = 2 * np.pi * np.arange(nodes, dtype=np.longdouble) / nodes
+    t = ext(contour.center) + ext(contour.radius) * np.exp(1j * theta).astype(ext)
+    ze, sup, pol = ext(z), r.supports.astype(ext), aaa.poles(r).astype(ext)
+    ratio = np.ones_like(t)
+    for k in range(max(sup.size, pol.size)):
+        if k < sup.size:
+            ratio = ratio * ((ze - sup[k]) / (t - sup[k]))
+        if k < pol.size:
+            ratio = ratio * ((t - pol[k]) / (ze - pol[k]))
+    total = np.sum(ratio * fvals.astype(ext) / (t - ze) * (t - ext(contour.center)))
+    return complex(total / nodes)
+
+
+def test_walsh_runs_in_extended_precision(exp_disk_fit):
+    # the sum cancels by ~13 orders of magnitude: in complex128 it moves by
+    # ~3e-4 relative, while the quotient of two phi products and the
+    # interleaved loop agree to ~3e-7
+    m = exp_disk_fit.model
+    c = ContourSpec(0j, 2.0, 256)
+    fc = np.exp(c.points())
+    for z in (0.3 + 0.2j, 0.9 * np.exp(0.6j * np.pi), -0.2 - 0.7j):
+        ref = _walsh_interleaved(c, fc, m, z)
+        assert abs(walsh_error(c, fc, m, z) - ref) <= 1e-5 * abs(ref)
 
 
 def test_walsh_doubling_stability(exp_disk_fit):
