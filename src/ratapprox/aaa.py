@@ -27,6 +27,7 @@ evaluated, in complex arithmetic either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,14 @@ class BarycentricRational:
     @property
     def degree(self):
         return self.supports.size - 1
+
+    @cached_property
+    def pole_list(self):
+        """poles(self), solved on first use and kept read-only; empty at
+        degree 0.  The figure, its sup error and its sweep share one solve."""
+        p = poles(self) if self.degree >= 1 else np.empty(0, dtype=complex)
+        p.flags.writeable = False
+        return p
 
     def __call__(self, z):
         return evaluate(self, z)

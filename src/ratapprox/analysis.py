@@ -12,8 +12,7 @@ import numpy as np
 from . import aaa as aaa_mod
 from . import geometry, polyfit
 from .aaa import BarycentricRational
-from .geometry import FunctionSpec, SampleSet
-from .polyfit import ArnoldiPolynomial
+from .geometry import FunctionSpec
 
 
 class Method(enum.Enum):
@@ -61,8 +60,10 @@ class RateClass:
     diagnostics: dict
 
 
-def _test_values(f, domain, grid_size=4000):
-    """The domain's test grid and f on it; raises if f is non-finite there."""
+def grid_values(f, domain, grid_size=4000):
+    """The domain's test grid and f on it, as a (grid, values) pair; raises
+    if f is non-finite there.  Built once per figure or study and passed to
+    sup_error_on and degree_sweep."""
     grid = geometry.test_grid(domain, grid_size)
     fv = geometry.eval_function(f, grid)
     if not np.all(np.isfinite(fv.real) & np.isfinite(fv.imag)):
@@ -82,11 +83,27 @@ def _flag(error, floor):
     return "floor" if error < floor else "ok"
 
 
-def _sup_error_on(f, approximant, domain, grid, fv):
+def _checked_degrees(degrees):
+    degrees = [int(d) for d in degrees]
+    if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
+        raise ValueError("degrees must be nonempty and strictly increasing")
+    if degrees[0] < 0:
+        raise ValueError(f"degrees must be nonnegative, got {degrees[0]}")
+    return degrees
+
+
+def sup_error_on(f, approximant, domain, tests):
+    """Sup of |f - approximant| over tests, the grid_values of f on domain.
+
+    If the approximant is rational and has a pole inside (or within 1e-9
+    of) the domain, the result is flagged and an interior grid is scanned
+    as well.  The poles are the model's pole_list, solved once per model.
+    """
+    grid, fv = tests
     pole_in_domain = False
-    if isinstance(approximant, BarycentricRational) and approximant.degree >= 1:
-        pl = aaa_mod.poles(approximant)
-        pole_in_domain = bool(np.any(geometry.contains(domain, pl, tol=1e-9)))
+    if isinstance(approximant, BarycentricRational):
+        pole_in_domain = bool(np.any(
+            geometry.contains(domain, approximant.pole_list, tol=1e-9)))
     sup = _sup(fv - approximant(grid))
     if pole_in_domain:
         interior = geometry.interior_grid(domain)
@@ -98,52 +115,33 @@ def _sup_error_on(f, approximant, domain, grid, fv):
 
 
 def estimate_sup_error(f, approximant, domain, grid_size=4000):
-    """Sup of |f - approximant| over the domain's test grid.
-
-    If the approximant is rational and has a pole inside (or within 1e-9
-    of) the domain, the result is flagged and an interior grid is scanned
-    as well.
-    """
-    grid, fv = _test_values(f, domain, grid_size)
-    return _sup_error_on(f, approximant, domain, grid, fv)
+    """sup_error_on a test grid of grid_size points built for this call."""
+    return sup_error_on(f, approximant, domain,
+                        grid_values(f, domain, grid_size))
 
 
-def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
-                      aaa_report=None):
-    """Degree sweep of rational and polynomial sup errors.
+def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
+    """Degree sweep of rational and polynomial sup errors, measured on
+    tests, the grid_values of f on domain.
 
-    Rational entries come from one greedy run's trajectory: the model of
-    each step, before any cleanup, re-measured on the independent test
-    grid.  The run goes to tol_floor and up to the largest requested degree
-    but at most samples - 2; degrees it does not reach get no rational
-    entry.  aaa_report may pass in that run instead: an aaa_fit report on
-    the same samples, run at a tol no larger than tol_floor and to at
-    least that degree cap.  No cleanup is run either way.
-    Polynomial entries come from one fit at
-    the largest requested degree the samples allow, samples - 1: the
-    Arnoldi basis is nested, so degree n uses the first n+1 basis columns
-    and coefficients, and the basis is evaluated on the test grid once.
-    If that fit breaks down at basis column k, it is redone at the largest
-    requested degree below k, and degrees from k on get no polynomial
-    entry.
+    The caller builds the inputs: samples of f, trajectory an aaa_fit
+    report on them, and tests (convergence_study builds all three; a
+    figure shares its own with its preset fit and sup error).
+    Rational entries are trajectory's snapshots, the model of each greedy
+    step before any cleanup, re-measured on the test grid; degrees the run
+    does not reach get no rational entry.  Polynomial entries come from
+    one fit at the largest requested degree the samples allow, samples - 1:
+    the Arnoldi basis is nested, so degree n uses the first n+1 basis
+    columns and coefficients, and the basis is evaluated on the test grid
+    once.  If that fit breaks down at basis column k, it is redone at the
+    largest requested degree below k, and degrees from k on get no
+    polynomial entry.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor", and errors that are not finite are flagged "overflow".
     """
-    degrees = [int(d) for d in degrees]
-    if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
-        raise ValueError("degrees must be nonempty and strictly increasing")
-    if degrees[0] < 0:
-        raise ValueError(f"degrees must be nonnegative, got {degrees[0]}")
-    samples = geometry.sample_function(f, domain, n_samples)
-    fscale = float(np.max(np.abs(samples.values)))
-    floor = tol_floor * fscale
-
-    if aaa_report is None:
-        max_degree = min(max(degrees), samples.points.size - 2)
-        aaa_report = aaa_mod.aaa_fit(samples, tol=tol_floor,
-                                     max_degree=max_degree)
-    by_degree = {m.degree: m for m in aaa_report.snapshots}
-    grid, fv = _test_values(f, domain)
+    degrees = _checked_degrees(degrees)
+    floor = tol_floor * float(np.max(np.abs(samples.values)))
+    by_degree = {m.degree: m for m in trajectory.snapshots}
     poly_degrees = [n for n in degrees if samples.points.size >= n + 1]
     pmodel = None
     while poly_degrees and pmodel is None:
@@ -153,21 +151,34 @@ def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500,
             # the basis is nested: every degree below the breakdown is valid
             poly_degrees = [n for n in poly_degrees if n < err.step]
     if pmodel is not None:
-        W = polyfit.va_basis(pmodel, grid)
+        W = polyfit.va_basis(pmodel, tests[0])
 
     entries = []
     for n in degrees:
         model = by_degree.get(n)
         if model is not None:
-            sup = _sup_error_on(f, model, domain, grid, fv)
+            sup = sup_error_on(f, model, domain, tests)
             flag = ("pole-in-domain" if sup.pole_in_domain
                     else _flag(sup.value, floor))
             entries.append(Entry(n, Method.RATIONAL, sup.value, flag))
         if n in poly_degrees:
-            perr = _sup(fv - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
+            perr = _sup(tests[1] - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
             entries.append(Entry(n, Method.POLYNOMIAL, perr, _flag(perr, floor)))
     entries.sort(key=lambda e: (e.degree, e.method.value))
     return ConvergenceRecord(fn=f, domain=domain, entries=tuple(entries))
+
+
+def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500):
+    """degree_sweep on n_samples boundary samples of f, one greedy run to
+    tol_floor and up to the largest requested degree but at most
+    samples - 2, and a fresh test grid.  No cleanup is run."""
+    degrees = _checked_degrees(degrees)
+    samples = geometry.sample_function(f, domain, n_samples)
+    trajectory = aaa_mod.aaa_fit(
+        samples, tol=tol_floor,
+        max_degree=min(degrees[-1], samples.points.size - 2))
+    return degree_sweep(f, domain, degrees, tol_floor, samples, trajectory,
+                        grid_values(f, domain))
 
 
 def _regress(x, y):

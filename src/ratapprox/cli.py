@@ -30,7 +30,6 @@ from . import analysis, geometry, polyfit, potential, svgplot
 from .aaa import BarycentricRational
 from .analysis import Method
 from .geometry import Disk, FunctionSpec, Horseshoe, Interval
-from .polyfit import ArnoldiPolynomial
 
 
 class UsageError(Exception):
@@ -56,41 +55,29 @@ def _complex_pairs(arr):
 
 
 def model_to_json(model):
-    if isinstance(model, BarycentricRational):
-        return {
-            "type": "barycentric",
-            "supports": _complex_pairs(model.supports),
-            "values": _complex_pairs(model.values),
-            "weights": _complex_pairs(model.weights),
-        }
-    if isinstance(model, ArnoldiPolynomial):
-        return {
-            "type": "arnoldi",
-            "degree": model.degree,
-            "hessenberg": _complex_pairs(model.hessenberg),
-            "coeffs": _complex_pairs(model.coeffs),
-            "normalization_points": model.normalization_points,
-        }
-    raise TypeError(f"cannot serialize model of type {type(model)!r}")
+    return {
+        "type": "barycentric",
+        "supports": _complex_pairs(model.supports),
+        "values": _complex_pairs(model.values),
+        "weights": _complex_pairs(model.weights),
+    }
 
 
 def model_from_json(data):
-    """Rebuild a model from model_to_json output.
+    """Rebuild a barycentric model from model_to_json output.
 
-    Raises UsageError for a missing key, an entry that is not a finite
-    [re, im] pair, or arrays whose lengths do not fit together.
+    Raises UsageError for another model type, a missing key, an entry that
+    is not a finite [re, im] pair, or arrays whose lengths do not fit
+    together.
     """
     if not isinstance(data, dict):
         raise UsageError("model file must hold a JSON object")
 
-    def field(key):
+    def arr(key):
         if key not in data:
             raise UsageError(f"model file lacks the key {key!r}")
-        return data[key]
-
-    def arr(key):
         try:
-            a = np.array([complex(re, im) for re, im in field(key)],
+            a = np.array([complex(re, im) for re, im in data[key]],
                          dtype=complex)
         except (TypeError, ValueError):
             raise UsageError(f"model {key!r} must be a list of [re, im] pairs")
@@ -99,32 +86,12 @@ def model_from_json(data):
         return a
 
     kind = data.get("type")
-    if kind == "barycentric":
-        try:  # unequal lengths, repeated supports, all-zero weights
-            return BarycentricRational(
-                arr("supports"), arr("values"), arr("weights")
-            )
-        except ValueError as exc:
-            raise UsageError(f"invalid barycentric model: {exc}")
-    if kind == "arnoldi":
-        try:
-            n = int(field("degree"))
-            m = int(data.get("normalization_points", 0))
-        except (TypeError, ValueError):
-            raise UsageError(
-                "model 'degree' and 'normalization_points' must be integers"
-            )
-        H, c = arr("hessenberg"), arr("coeffs")
-        if n < 0 or H.size != (n + 1) * n or c.size != n + 1:
-            raise UsageError(
-                f"a degree-{n} arnoldi model needs {(n + 1) * n} hessenberg "
-                f"entries and {n + 1} coeffs, got {H.size} and {c.size}"
-            )
-        return ArnoldiPolynomial(
-            hessenberg=H.reshape(n + 1, n), coeffs=c, degree=n,
-            normalization_points=m,
-        )
-    raise UsageError(f"unknown model type {kind!r}")
+    if kind != "barycentric":
+        raise UsageError(f"unknown model type {kind!r}")
+    try:  # unequal lengths, repeated supports, all-zero weights
+        return BarycentricRational(arr("supports"), arr("values"), arr("weights"))
+    except ValueError as exc:
+        raise UsageError(f"invalid barycentric model: {exc}")
 
 
 def load_model(path):
@@ -335,13 +302,11 @@ def run_figure(figure_id, out_dir):
         samples,
     )
     model = report.model
-    sup = analysis.estimate_sup_error(preset.fn, model, preset.domain)
-    pole_list = aaa_mod.poles(model) if model.degree >= 1 else np.empty(0, complex)
-
-    record = analysis.convergence_study(
-        preset.fn, preset.domain, preset.degrees, tol_floor=floor,
-        n_samples=N_BOUNDARY, aaa_report=trajectory,
-    )
+    pole_list = model.pole_list
+    tests = analysis.grid_values(preset.fn, preset.domain)
+    sup = analysis.sup_error_on(preset.fn, model, preset.domain, tests)
+    record = analysis.degree_sweep(preset.fn, preset.domain, preset.degrees,
+                                   floor, samples, trajectory, tests)
 
     window = potential.default_window(samples.points, pole_list)
     nx = 220
@@ -452,10 +417,7 @@ def cmd_study(args):
 
 def cmd_potential(args):
     model = load_model(args.model)
-    if not isinstance(model, BarycentricRational):
-        raise UsageError("potential plots require a barycentric model")
-    pole_list = (aaa_mod.poles(model) if model.degree >= 1
-                 else np.empty(0, complex))
+    pole_list = model.pole_list
     if args.window:
         try:
             vals = [float(v) for v in args.window.split(",")]

@@ -36,7 +36,6 @@ class ArnoldiPolynomial:
     hessenberg: np.ndarray      # (n+1) x n, positive real subdiagonal
     coeffs: np.ndarray          # n+1
     degree: int
-    normalization_points: int   # sample count M used at fit time
 
     def __call__(self, z):
         return va_eval(self, z)
@@ -76,9 +75,7 @@ def va_fit(samples, degree):
         Q[:, k + 1] = q / sub
     # Q^H Q = M I, and the breakdown guard keeps every column independent
     c = Q.conj().T @ F / M
-    return ArnoldiPolynomial(
-        hessenberg=H, coeffs=c, degree=n, normalization_points=M
-    )
+    return ArnoldiPolynomial(hessenberg=H, coeffs=c, degree=n)
 
 
 def va_basis(model, points):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratapprox import aaa, analysis, cli, geometry, polyfit
+from ratapprox import aaa, analysis, cli, geometry
 from ratapprox.aaa import BarycentricRational
 from ratapprox.cli import (
     UsageError,
@@ -21,7 +21,6 @@ from ratapprox.cli import (
     parse_function,
 )
 from ratapprox.geometry import Disk, FunctionSpec, Horseshoe, Interval, SampleSet
-from ratapprox.polyfit import ArnoldiPolynomial
 
 
 def circle(n):
@@ -99,17 +98,6 @@ def test_model_json_roundtrip_barycentric(tmp_path):
     assert aaa.evaluate(m, z) == aaa.evaluate(m2, z)
 
 
-def test_model_json_roundtrip_arnoldi(tmp_path):
-    pts = circle(100)
-    m = polyfit.va_fit(SampleSet(pts, np.exp(pts)), 7)
-    m2 = _reload(tmp_path / "model.json", m)
-    assert _same_bits(m.hessenberg, m2.hessenberg)
-    assert _same_bits(m.coeffs, m2.coeffs)
-    assert (m2.degree, m2.normalization_points) == (7, 100)
-    z = np.array([0.3 + 0.4j])
-    assert polyfit.va_eval(m, z) == polyfit.va_eval(m2, z)
-
-
 # signed zeros, subnormals, the smallest normal and values near +-1e308
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                 0.1, 1e308, -1e308, 1.7976931348623157e308,
@@ -126,18 +114,11 @@ def _complex_array(n):
 
 @st.composite
 def _models(draw):
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 6))
-        supports = draw(_complex_array(n).filter(
-            lambda z: np.unique(z).size == z.size))
-        weights = draw(_complex_array(n).filter(lambda w: np.any(w != 0)))
-        return BarycentricRational(supports, draw(_complex_array(n)), weights)
-    n = draw(st.integers(0, 4))
-    return ArnoldiPolynomial(
-        hessenberg=draw(_complex_array((n + 1) * n)).reshape(n + 1, n),
-        coeffs=draw(_complex_array(n + 1)), degree=n,
-        normalization_points=draw(st.integers(0, 10**6)),
-    )
+    n = draw(st.integers(1, 6))
+    supports = draw(_complex_array(n).filter(
+        lambda z: np.unique(z).size == z.size))
+    weights = draw(_complex_array(n).filter(lambda w: np.any(w != 0)))
+    return BarycentricRational(supports, draw(_complex_array(n)), weights)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -149,14 +130,8 @@ def test_model_json_roundtrip_is_bit_exact(model, tmp_path_factory):
     path = tmp_path_factory.mktemp("roundtrip") / "model.json"
     loaded = _reload(path, model)
     assert type(loaded) is type(model)
-    keys = (("supports", "values", "weights")
-            if isinstance(model, BarycentricRational)
-            else ("hessenberg", "coeffs"))
-    for key in keys:
+    for key in ("supports", "values", "weights"):
         assert _same_bits(getattr(model, key), getattr(loaded, key)), key
-    if isinstance(model, ArnoldiPolynomial):
-        assert loaded.degree == model.degree
-        assert loaded.normalization_points == model.normalization_points
 
 
 def test_fit_command(tmp_path):
@@ -410,16 +385,39 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
     if max_degree is not None:
         assert not ref.converged and ref.history[-1][0] == max_degree
 
-    calls = []
-    fit = aaa.aaa_fit
+    # the figure samples f once, builds one test grid, and solves the
+    # returned model's poles once outside cleanup, for the report, the plot,
+    # the sup error and, when it is a swept snapshot, the sweep
+    calls = {"aaa_fit": 0, "sample_function": 0, "test_grid": 0}
+    for module, name in ((aaa, "aaa_fit"), (geometry, "sample_function"),
+                         (geometry, "test_grid")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    solved, in_cleanup, final = [], [False], []
+    poles, clean = aaa.poles, aaa.cleanup
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return fit(*args, **kwargs)
+    def recording_poles(r):
+        if not in_cleanup[0]:
+            solved.append(r)
+        return poles(r)
 
-    monkeypatch.setattr(aaa, "aaa_fit", counting)
+    def recording_cleanup(*args):
+        in_cleanup[0] = True
+        try:
+            rep = clean(*args)
+        finally:
+            in_cleanup[0] = False
+        final.append(rep.model)
+        return rep
+
+    monkeypatch.setattr(aaa, "poles", recording_poles)
+    monkeypatch.setattr(aaa, "cleanup", recording_cleanup)
     cli.run_figure(figure_id, str(tmp_path / "fig"))
-    assert len(calls) == 1
+    assert calls == {"aaa_fit": 1, "sample_function": 1, "test_grid": 1}
+    assert len(final) == 1
+    assert sum(r is final[0] for r in solved) == 1
     assert ((tmp_path / "fig" / "convergence.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
     cli._write_json(str(tmp_path / "ref.json"), model_to_json(ref.model))
