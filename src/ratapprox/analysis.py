@@ -1,5 +1,11 @@
 """Convergence-study harness: degree sweeps, sup-error estimates, and
-classification of the observed decay regime."""
+classification of the observed decay regime.
+
+degree_sweep and sup_error_on measure on inputs their caller builds: the
+samples of f, the greedy trajectory on them, and the test grid with f on
+it (grid_values).  convergence_study and estimate_sup_error build these
+for one call; a figure builds them once and shares them between its
+preset fit, its sup error and its sweep."""
 
 from __future__ import annotations
 
@@ -125,8 +131,7 @@ def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
     tests, the grid_values of f on domain.
 
     The caller builds the inputs: samples of f, trajectory an aaa_fit
-    report on them, and tests (convergence_study builds all three; a
-    figure shares its own with its preset fit and sup error).
+    report on those samples, and tests.
     Rational entries are trajectory's snapshots, the model of each greedy
     step before any cleanup, re-measured on the test grid; degrees the run
     does not reach get no rational entry.  Polynomial entries come from
@@ -140,6 +145,7 @@ def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
     "floor", and errors that are not finite are flagged "overflow".
     """
     degrees = _checked_degrees(degrees)
+    grid, fv = tests
     floor = tol_floor * float(np.max(np.abs(samples.values)))
     by_degree = {m.degree: m for m in trajectory.snapshots}
     poly_degrees = [n for n in degrees if samples.points.size >= n + 1]
@@ -151,7 +157,7 @@ def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
             # the basis is nested: every degree below the breakdown is valid
             poly_degrees = [n for n in poly_degrees if n < err.step]
     if pmodel is not None:
-        W = polyfit.va_basis(pmodel, tests[0])
+        W = polyfit.va_basis(pmodel, grid)
 
     entries = []
     for n in degrees:
@@ -162,7 +168,7 @@ def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
                     else _flag(sup.value, floor))
             entries.append(Entry(n, Method.RATIONAL, sup.value, flag))
         if n in poly_degrees:
-            perr = _sup(tests[1] - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
+            perr = _sup(fv - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
             entries.append(Entry(n, Method.POLYNOMIAL, perr, _flag(perr, floor)))
     entries.sort(key=lambda e: (e.degree, e.method.value))
     return ConvergenceRecord(fn=f, domain=domain, entries=tuple(entries))

@@ -7,6 +7,15 @@ Subcommands:
     study ...               ad-hoc degree sweep, writes convergence CSV
     potential ...           render a potential contour plot from a model
 
+model.json holds a barycentric model (supports, values, weights) and
+nothing else; polynomial fits live only inside a degree sweep.  Bad input
+exits with code 2: an unknown function, a bad domain, degree list or
+--window, a --res below 32, a --max-degree above samples - 2, too few
+--samples for the domain (an interval through 0 needs its cluster points
+plus 2), or a model file that is not a valid barycentric model.  A failure
+of the computation itself, such as f without a finite value at a sample,
+exits with code 1.
+
 Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
 thread count, and are written atomically (write to a temp name, then
 rename).  CSV floats carry 17 significant digits.  Each JSON file is one
@@ -166,6 +175,22 @@ def parse_domain(spec):
         f"unknown domain {name!r}; valid: disk:cx,cy,r interval:a,b "
         "horseshoe[:inner,outer,halfangle]"
     )
+
+
+def parse_window(spec):
+    """xmin,xmax,ymin,ymax: finite numbers with xmin < xmax, ymin < ymax,
+    and a finite width and height."""
+    try:
+        xmin, xmax, ymin, ymax = (float(v) for v in spec.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad --window {spec!r}, expected xmin,xmax,ymin,ymax: {exc}")
+    width, height = xmax - xmin, ymax - ymin
+    if not all(map(math.isfinite, (xmin, xmax, ymin, ymax, width, height))):
+        raise UsageError(f"bad --window {spec!r}: its numbers, width and "
+                         "height must be finite")
+    if not (width > 0 and height > 0):
+        raise UsageError(f"bad --window {spec!r}: need xmin < xmax and ymin < ymax")
+    return xmin, xmax, ymin, ymax
 
 
 # a degree-n fit needs more than n samples and an (n + 1)-column matrix over
@@ -417,21 +442,14 @@ def cmd_study(args):
 
 def cmd_potential(args):
     model = load_model(args.model)
-    pole_list = model.pole_list
-    if args.window:
-        try:
-            vals = [float(v) for v in args.window.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad --window {args.window!r}: {exc}")
-        if len(vals) != 4:
-            raise UsageError("--window expects xmin,xmax,ymin,ymax")
-        window = tuple(vals)
-    else:
-        window = potential.default_window(model.supports, pole_list)
-    field = potential.potential_grid(
-        model.supports, pole_list, window, (args.res, args.res)
-    )
+    window = (parse_window(args.window) if args.window
+              else potential.default_window(model.supports, model.pole_list))
+    if args.res < 32:
+        raise UsageError(f"--res must be at least 32, got {args.res}")
     domain = parse_domain(args.domain) if args.domain else None
+    field = potential.potential_grid(
+        model.supports, model.pole_list, window, (args.res, args.res)
+    )
     _atomic_write(args.out, svgplot.render_potential_svg(field, domain))
     return 0
 
@@ -489,7 +507,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, geometry.SampleCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -141,6 +141,10 @@ class SampleSet:
         return self.points.size
 
 
+class SampleCountError(ValueError):
+    """Too few points requested for a domain's sampling schedule."""
+
+
 def sample_function(f, domain, m=500):
     """Boundary samples of the domain paired with values of f."""
     pts = boundary_samples(domain, m)
@@ -167,19 +171,23 @@ def _cheb2(n, a, b):
     return a + (b - a) * (x[::-1] + 1) / 2
 
 
+def _cluster_radii(dom, offset):
+    """Radii of the geometric clusters toward 0 on an interval through 0
+    (empty otherwise), shifted by offset as in _interval_points."""
+    if not dom.a < 0 < dom.b:
+        return np.empty(0)
+    j = np.arange(1, _CLUSTER_J + 1)
+    radii = 10.0 ** (-14.0 * (j - offset) / _CLUSTER_J)
+    return radii[radii < min(-dom.a, dom.b)]
+
+
 def _interval_points(dom, m, offset):
     """Chebyshev-density points, plus geometric clusters toward 0 when
     0 is interior.  offset=0 gives the fitting set (first-kind nodes),
     offset=0.5 the testing set (second-kind nodes, shifted clusters)."""
-    clusters = np.empty(0)
-    if dom.a < 0 < dom.b:
-        j = np.arange(1, _CLUSTER_J + 1)
-        radii = 10.0 ** (-14.0 * (j - offset) / _CLUSTER_J)
-        radii = radii[radii < min(-dom.a, dom.b)]
-        clusters = np.concatenate([-radii, radii])
+    radii = _cluster_radii(dom, offset)
+    clusters = np.concatenate([-radii, radii])
     n_cheb = m - clusters.size
-    if n_cheb < 2:
-        raise ValueError("m too small for the clustering schedule")
     base = _cheb1(n_cheb, dom.a, dom.b) if offset == 0 else _cheb2(n_cheb, dom.a, dom.b)
     pts = np.unique(np.concatenate([base, clusters]))
     if pts.size != m:
@@ -230,8 +238,16 @@ def _horseshoe_points(dom, m, offset):
     return pts
 
 
-def _trace(domain, m, offset):
-    """m boundary points at phase offset 0 (fitting set) or 0.5 (testing)."""
+def _trace(domain, m, offset, least, what):
+    """m boundary points at phase offset 0 (fitting set) or 0.5 (testing).
+
+    Raises SampleCountError if m is below least, or on an interval through
+    0 below the 2 Chebyshev points plus both sides' clusters it needs.
+    """
+    if isinstance(domain, Interval):
+        least = max(least, 2 * _cluster_radii(domain, offset).size + 2)
+    if m < least:
+        raise SampleCountError(f"need at least {least} {what} on {domain}, got {m}")
     if isinstance(domain, Disk):
         theta = 2 * np.pi * (np.arange(m) + offset) / m
         return domain.center + domain.radius * np.exp(1j * theta)
@@ -244,17 +260,13 @@ def _trace(domain, m, offset):
 
 def boundary_samples(domain, m):
     """m pairwise-distinct points tracing the boundary of the domain once."""
-    if m < 8:
-        raise ValueError("need at least 8 boundary samples")
-    return _trace(domain, m, 0)
+    return _trace(domain, m, 0, 8, "boundary samples")
 
 
 def test_grid(domain, m):
     """Dense evaluation set for sup-norm estimates, disjoint from the
     fitting set produced by boundary_samples (phase-offset sampling)."""
-    if m < 64:
-        raise ValueError("need at least 64 test points")
-    return _trace(domain, m, 0.5)
+    return _trace(domain, m, 0.5, 64, "test points")
 
 
 def contains(domain, z, tol=1e-9):

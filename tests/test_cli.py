@@ -19,6 +19,7 @@ from ratapprox.cli import (
     parse_degrees,
     parse_domain,
     parse_function,
+    parse_window,
 )
 from ratapprox.geometry import Disk, FunctionSpec, Horseshoe, Interval, SampleSet
 
@@ -59,6 +60,9 @@ _DOMAIN_TEXT = st.builds(
     "{}:{}".format, st.sampled_from(["disk", "interval", "horseshoe", "", "x"]),
     st.lists(st.one_of(st.floats(), st.integers(), st.text(max_size=4)).map(str),
              max_size=4).map(",".join))
+_WINDOW_TEXT = st.lists(
+    st.one_of(st.floats(), st.sampled_from(["1e308", "-1e308"]),
+              st.text(max_size=3)).map(str), max_size=5).map(",".join)
 _DEGREE_TEXT = st.builds(
     str.join, st.sampled_from([":", ","]),
     st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(),
@@ -66,8 +70,9 @@ _DEGREE_TEXT = st.builds(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(parser=st.sampled_from([parse_function, parse_domain, parse_degrees]),
-       text=st.one_of(st.text(), _DOMAIN_TEXT, _DEGREE_TEXT))
+@given(parser=st.sampled_from([parse_function, parse_domain, parse_degrees,
+                               parse_window]),
+       text=st.one_of(st.text(), _DOMAIN_TEXT, _DEGREE_TEXT, _WINDOW_TEXT))
 def test_parsers_raise_only_usage_errors(parser, text):
     # any text either parses or is a usage error (exit 2), never a traceback
     try:
@@ -247,10 +252,40 @@ def test_bad_number_in_window_is_usage_error(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--out",
           str(model_path)])
-    rc = main(["potential", "--model", str(model_path), "--window", "a,1,2,3",
-               "--out", str(tmp_path / "plot.svg")])
-    assert rc == 2
-    assert "bad --window" in capsys.readouterr().err
+    # -1e308,1e308: finite ends whose width overflows
+    for args, message in (
+            (["--window=a,1,2,3"], "bad --window"),
+            (["--window=1,2,3"], "bad --window"),
+            (["--window=-inf,inf,-1,1"], "must be finite"),
+            (["--window=nan,1,-1,1"], "must be finite"),
+            (["--window=-1e308,1e308,-1,1"], "must be finite"),
+            (["--window=1,-1,-1,1"], "xmin < xmax"),
+            (["--res", "0"], "--res must be at least 32, got 0"),
+            (["--res", "31"], "--res must be at least 32, got 31")):
+        rc = main(["potential", "--model", str(model_path), *args,
+                   "--out", str(tmp_path / "plot.svg")])
+        assert rc == 2, args
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "plot.svg").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fit"], ["study", "--degrees", "2:2:10"]], ids=["fit", "study"])
+def test_too_few_samples_is_usage_error(command, tmp_path, capsys):
+    # 112 cluster points on each side of 0 plus 2 Chebyshev points
+    for samples in ("0", "100", "225"):
+        rc = main([*command, "--fn", "abs", "--domain", "interval:-1,1",
+                   "--samples", samples, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"need at least 226 boundary samples on "
+                f"Interval(a=-1.0, b=1.0), got {samples}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+    # sqrt(-z) is cut along [0, inf): f has no value at half the samples
+    rc = main([*command, "--fn", "sqrtneg", "--domain", "interval:-1,1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "sample values must be finite" in capsys.readouterr().err
 
 
 def test_invalid_figure_id_is_usage_error(tmp_path):

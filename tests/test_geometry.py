@@ -40,10 +40,19 @@ def test_disk_boundary_equiangular():
 
 
 def test_boundary_samples_minimum_count():
-    with pytest.raises(ValueError):
-        boundary_samples(Disk(0j, 1.0), 7)
-    with pytest.raises(ValueError):
-        eval_grid(Disk(0j, 1.0), 63)
+    # an interval through 0 needs 2 Chebyshev points besides the 112
+    # cluster points on each side of 0 that fall inside it
+    for sampler, m, dom, least in (
+            (boundary_samples, 7, Disk(0j, 1.0), 8),
+            (eval_grid, 63, Disk(0j, 1.0), 64),
+            (boundary_samples, 225, Interval(-1.0, 1.0), 226),
+            (eval_grid, 225, Interval(-1.0, 1.0), 226),
+            (boundary_samples, 65, Interval(-1e-10, 1.0), 66),
+            (boundary_samples, 0, Interval(-1.0, 1.0), 226)):
+        with pytest.raises(geometry.SampleCountError,
+                           match=f"at least {least} .*, got {m}$"):
+            sampler(dom, m)
+        assert sampler(dom, least).size == least
 
 
 def test_interval_boundary_symmetric():
