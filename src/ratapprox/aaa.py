@@ -66,8 +66,7 @@ class BarycentricRational:
 
     @cached_property
     def pole_list(self):
-        """poles(self), solved on first use and kept read-only; empty at
-        degree 0.  The figure, its sup error and its sweep share one solve."""
+        """poles(self) solved once, read-only; empty at degree 0."""
         p = poles(self) if self.degree >= 1 else np.empty(0, dtype=complex)
         p.flags.writeable = False
         return p

@@ -1,11 +1,9 @@
 """Convergence-study harness: degree sweeps, sup-error estimates, and
 classification of the observed decay regime.
 
-degree_sweep and sup_error_on measure on inputs their caller builds: the
-samples of f, the greedy trajectory on them, and the test grid with f on
-it (grid_values).  convergence_study and estimate_sup_error build these
-for one call; a figure builds them once and shares them between its
-preset fit, its sup error and its sweep."""
+degree_sweep and sup_error_on take samples, a greedy trajectory and test
+values (grid_values) from their caller: a figure builds each once, and
+convergence_study and estimate_sup_error build their own."""
 
 from __future__ import annotations
 
@@ -66,11 +64,10 @@ class RateClass:
     diagnostics: dict
 
 
-def grid_values(f, domain, grid_size=4000):
-    """The domain's test grid and f on it, as a (grid, values) pair; raises
-    if f is non-finite there.  Built once per figure or study and passed to
-    sup_error_on and degree_sweep."""
-    grid = geometry.test_grid(domain, grid_size)
+def grid_values(f, domain):
+    """The domain's 4000-point test grid and f on it, as a (grid, values)
+    pair; raises if f is non-finite there."""
+    grid = geometry.test_grid(domain, 4000)
     fv = geometry.eval_function(f, grid)
     if not np.all(np.isfinite(fv.real) & np.isfinite(fv.imag)):
         raise ValueError("f is non-finite on the test grid")
@@ -120,10 +117,9 @@ def sup_error_on(f, approximant, domain, tests):
     return SupError(sup, pole_in_domain)
 
 
-def estimate_sup_error(f, approximant, domain, grid_size=4000):
-    """sup_error_on a test grid of grid_size points built for this call."""
-    return sup_error_on(f, approximant, domain,
-                        grid_values(f, domain, grid_size))
+def estimate_sup_error(f, approximant, domain):
+    """sup_error_on the grid_values of f on domain, built for this call."""
+    return sup_error_on(f, approximant, domain, grid_values(f, domain))
 
 
 def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):

@@ -7,14 +7,10 @@ Subcommands:
     study ...               ad-hoc degree sweep, writes convergence CSV
     potential ...           render a potential contour plot from a model
 
-model.json holds a barycentric model (supports, values, weights) and
-nothing else; polynomial fits live only inside a degree sweep.  Bad input
-exits with code 2: an unknown function, a bad domain, degree list or
---window, a --res below 32, a --max-degree above samples - 2, too few
---samples for the domain (an interval through 0 needs its cluster points
-plus 2), or a model file that is not a valid barycentric model.  A failure
-of the computation itself, such as f without a finite value at a sample,
-exits with code 1.
+model.json holds a barycentric model only.  Bad input exits with code 2:
+an unknown function, a bad domain, degree list, --window or --res, a
+--max-degree above samples - 2, too few --samples for the domain, or an
+invalid model file.  A failed computation exits with code 1.
 
 Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
 thread count, and are written atomically (write to a temp name, then
@@ -178,18 +174,15 @@ def parse_domain(spec):
 
 
 def parse_window(spec):
-    """xmin,xmax,ymin,ymax: finite numbers with xmin < xmax, ymin < ymax,
-    and a finite width and height."""
+    """xmin,xmax,ymin,ymax: finite, with a positive finite width and height."""
     try:
         xmin, xmax, ymin, ymax = (float(v) for v in spec.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad --window {spec!r}, expected xmin,xmax,ymin,ymax: {exc}")
-    width, height = xmax - xmin, ymax - ymin
-    if not all(map(math.isfinite, (xmin, xmax, ymin, ymax, width, height))):
-        raise UsageError(f"bad --window {spec!r}: its numbers, width and "
-                         "height must be finite")
-    if not (width > 0 and height > 0):
-        raise UsageError(f"bad --window {spec!r}: need xmin < xmax and ymin < ymax")
+        raise UsageError(f"bad --window {spec!r}, want xmin,xmax,ymin,ymax: {exc}")
+    if not (all(map(math.isfinite, (xmin, xmax, ymin, ymax)))
+            and 0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf):
+        raise UsageError(f"bad --window {spec!r}: need finite numbers, xmin < "
+                         "xmax, ymin < ymax, and a finite width and height")
     return xmin, xmax, ymin, ymax
 
 
@@ -442,10 +435,10 @@ def cmd_study(args):
 
 def cmd_potential(args):
     model = load_model(args.model)
-    window = (parse_window(args.window) if args.window
-              else potential.default_window(model.supports, model.pole_list))
     if args.res < 32:
         raise UsageError(f"--res must be at least 32, got {args.res}")
+    window = (parse_window(args.window) if args.window
+              else potential.default_window(model.supports, model.pole_list))
     domain = parse_domain(args.domain) if args.domain else None
     field = potential.potential_grid(
         model.supports, model.pole_list, window, (args.res, args.res)

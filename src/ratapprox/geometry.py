@@ -172,8 +172,7 @@ def _cheb2(n, a, b):
 
 
 def _cluster_radii(dom, offset):
-    """Radii of the geometric clusters toward 0 on an interval through 0
-    (empty otherwise), shifted by offset as in _interval_points."""
+    """Radii of the clusters toward 0 on an interval through 0, else none."""
     if not dom.a < 0 < dom.b:
         return np.empty(0)
     j = np.arange(1, _CLUSTER_J + 1)
@@ -239,11 +238,8 @@ def _horseshoe_points(dom, m, offset):
 
 
 def _trace(domain, m, offset, least, what):
-    """m boundary points at phase offset 0 (fitting set) or 0.5 (testing).
-
-    Raises SampleCountError if m is below least, or on an interval through
-    0 below the 2 Chebyshev points plus both sides' clusters it needs.
-    """
+    """m >= least boundary points at phase offset 0 (fitting set) or 0.5
+    (testing); an interval needs 2 more than its cluster points."""
     if isinstance(domain, Interval):
         least = max(least, 2 * _cluster_radii(domain, offset).size + 2)
     if m < least:

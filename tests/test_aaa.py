@@ -97,11 +97,16 @@ def test_poles_requires_degree_one():
     )
     with pytest.raises(ValueError):
         aaa.poles(m)
+    assert m.pole_list.size == 0
 
 
 def test_pole_count_equals_degree(exp_disk_fit):
     m = exp_disk_fit.model
     assert aaa.poles(m).size == m.degree
+    # pole_list is one read-only solve of the same pencil
+    p = m.pole_list
+    assert p is m.pole_list and not p.flags.writeable
+    assert p.tobytes() == aaa.poles(m).tobytes()
 
 
 def test_zeros_of_linear_data():

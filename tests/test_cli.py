@@ -254,12 +254,12 @@ def test_bad_number_in_window_is_usage_error(tmp_path, capsys):
           str(model_path)])
     # -1e308,1e308: finite ends whose width overflows
     for args, message in (
-            (["--window=a,1,2,3"], "bad --window"),
-            (["--window=1,2,3"], "bad --window"),
-            (["--window=-inf,inf,-1,1"], "must be finite"),
-            (["--window=nan,1,-1,1"], "must be finite"),
-            (["--window=-1e308,1e308,-1,1"], "must be finite"),
-            (["--window=1,-1,-1,1"], "xmin < xmax"),
+            (["--window=a,1,2,3"], "bad --window 'a,1,2,3', want xmin"),
+            (["--window=1,2,3"], "bad --window '1,2,3', want xmin"),
+            (["--window=-inf,inf,-1,1"], "need finite numbers"),
+            (["--window=nan,1,-1,1"], "need finite numbers"),
+            (["--window=-1e308,1e308,-1,1"], "need finite numbers"),
+            (["--window=1,-1,-1,1"], "need finite numbers"),
             (["--res", "0"], "--res must be at least 32, got 0"),
             (["--res", "31"], "--res must be at least 32, got 31")):
         rc = main(["potential", "--model", str(model_path), *args,
