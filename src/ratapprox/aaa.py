@@ -32,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .geometry import SampleSet
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,6 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     history and model of every step.  Pass it to cleanup before returning
     its model to a user.
     """
-    if not isinstance(samples, SampleSet):
-        samples = SampleSet(*samples)
     Z, F = _real_if_exact(samples.points, samples.values)
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -202,8 +199,6 @@ def truncate(report, samples, tol, max_degree):
     fit stops, and every step before it is the same.  Raises ValueError if
     report stops before that step.
     """
-    if not isinstance(samples, SampleSet):
-        samples = SampleSet(*samples)
     bound = tol * float(np.max(np.abs(samples.values)))
     for k, (degree, err) in enumerate(report.history):
         if err <= bound or degree >= max_degree:
@@ -292,8 +287,6 @@ def cleanup(report, samples):
     final_error, and converged re-judged on that error against the
     report's tol.  The history and snapshots stay those of the greedy run.
     """
-    if not isinstance(samples, SampleSet):
-        samples = SampleSet(*samples)
     Z, F = _real_if_exact(samples.points, samples.values)
     fscale = float(np.max(np.abs(F)))
     diam = _diameter(Z)
@@ -337,9 +330,7 @@ def cleanup(report, samples):
 
 def _negligible_pole(model, thresh):
     """The pole of smallest |residue| if that is below thresh, else None."""
-    if model.degree < 1:
-        return None
-    p = poles(model)
+    p = model.pole_list
     res = np.abs(residues(model, p))
     if not (res < thresh).any():
         return None

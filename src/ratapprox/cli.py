@@ -129,23 +129,12 @@ def write_convergence_csv(path, record):
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
-_FN_NAMES = {
-    "exp": FunctionSpec.EXP,
-    "tansq": FunctionSpec.TAN_SQ,
-    "exptansq": FunctionSpec.EXP_TAN_SQ,
-    "sqrt2branch": FunctionSpec.TWO_BRANCH_SQRT,
-    "abs": FunctionSpec.ABS_VAL,
-    "sqrtneg": FunctionSpec.SQRT_NEG,
-}
-
-
 def parse_function(name):
     try:
-        return _FN_NAMES[name.lower()]
-    except KeyError:
-        raise UsageError(
-            f"unknown function {name!r}; valid: {', '.join(sorted(_FN_NAMES))}"
-        )
+        return FunctionSpec(name.lower())
+    except ValueError:
+        valid = ", ".join(sorted(f.value for f in FunctionSpec))
+        raise UsageError(f"unknown function {name!r}; valid: {valid}")
 
 
 def parse_domain(spec):
@@ -235,7 +224,6 @@ def _domain_to_json(domain):
 
 @dataclass(frozen=True)
 class FigurePreset:
-    id: int
     fn: FunctionSpec
     domain: object
     tol: float
@@ -244,23 +232,23 @@ class FigurePreset:
 
 
 PRESETS = {
-    1: FigurePreset(1, FunctionSpec.EXP, Disk(0j, 1.0), 1e-12, 150,
+    1: FigurePreset(FunctionSpec.EXP, Disk(0j, 1.0), 1e-12, 150,
                     tuple(range(0, 21))),
     # dense low-degree grid so the rational sweep has enough points before
     # hitting the accuracy floor; coarser past degree 40 where only the
     # polynomial curve is still moving
-    2: FigurePreset(2, FunctionSpec.TAN_SQ, Disk(0j, 1.0), 1e-12, 150,
+    2: FigurePreset(FunctionSpec.TAN_SQ, Disk(0j, 1.0), 1e-12, 150,
                     tuple(range(2, 41, 2)) + tuple(range(44, 121, 4))),
-    3: FigurePreset(3, FunctionSpec.EXP_TAN_SQ, Disk(0j, 1.0), 1e-12, 150,
+    3: FigurePreset(FunctionSpec.EXP_TAN_SQ, Disk(0j, 1.0), 1e-12, 150,
                     tuple(range(0, 81, 4))),
-    4: FigurePreset(4, FunctionSpec.TWO_BRANCH_SQRT, Disk(0j, 1.0), 1e-10, 150,
+    4: FigurePreset(FunctionSpec.TWO_BRANCH_SQRT, Disk(0j, 1.0), 1e-10, 150,
                     tuple(range(1, 61))),
     # even degrees only: |z| is even, odd degrees add nothing
-    5: FigurePreset(5, FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 1e-8, 60,
+    5: FigurePreset(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 1e-8, 60,
                     tuple(range(4, 61, 2))),
     # tol one notch below the 1e-8 target so the re-measured sup error on the
     # independent grid still clears it
-    6: FigurePreset(6, FunctionSpec.SQRT_NEG, Horseshoe(), 1e-9, 60,
+    6: FigurePreset(FunctionSpec.SQRT_NEG, Horseshoe(), 1e-9, 60,
                     tuple(range(0, 81, 4))),
 }
 
@@ -332,7 +320,7 @@ def run_figure(figure_id, out_dir):
     field = potential.potential_grid(model.supports, pole_list, window, (nx, ny))
 
     report_json = {
-        "figure": preset.id,
+        "figure": figure_id,
         "fn": preset.fn.value,
         "domain": _domain_to_json(preset.domain),
         "tol": preset.tol,

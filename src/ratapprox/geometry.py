@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -65,9 +64,6 @@ class Horseshoe:
         mid = 0.5 * (self.outer_radius + self.inner_radius)
         a = self.opening_half_angle
         return (mid * np.exp(1j * a), mid * np.exp(-1j * a))
-
-
-Domain = Union[Disk, Interval, Horseshoe]
 
 
 class FunctionSpec(enum.Enum):
@@ -136,9 +132,6 @@ class SampleSet:
             raise ValueError("sample values must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return self.points.size
 
 
 class SampleCountError(ValueError):
@@ -307,17 +300,3 @@ def interior_grid(domain, m=2000):
         zz = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
         return zz[contains(domain, zz, tol=-1e-6)]
     raise ValueError(f"unknown domain {domain!r}")
-
-
-def bounding_box(points, pad=0.3):
-    """Axis-aligned bounding box of complex points, inflated per side."""
-    pts = np.asarray(points, dtype=complex)
-    xmin, xmax = pts.real.min(), pts.real.max()
-    ymin, ymax = pts.imag.min(), pts.imag.max()
-    wx, wy = xmax - xmin, ymax - ymin
-    ref = max(wx, wy)
-    if ref == 0:
-        ref = 1.0
-    dx = pad * (wx if wx > 0 else ref)
-    dy = pad * (wy if wy > 0 else ref)
-    return (xmin - dx, xmax + dx, ymin - dy, ymax + dy)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SampleSet
-
 
 class ArnoldiBreakdownError(RuntimeError):
     """Basis generation broke down (fewer distinct points than degree + 1)."""
@@ -48,8 +46,6 @@ def va_fit(samples, degree):
     lower-degree fit's Hessenberg matrix is a leading block of this one,
     and its coefficients are a prefix of these up to rounding.
     """
-    if not isinstance(samples, SampleSet):
-        samples = SampleSet(*samples)
     Z, F = samples.points, samples.values
     M = Z.size
     n = int(degree)

@@ -126,15 +126,20 @@ def potential_grid(supports, pole_list, window, resolution):
 
 
 def default_window(domain_points, pole_list):
-    """Bounding box of the domain and all finite poles, inflated 30% per side."""
-    from .geometry import bounding_box
-
+    """Bounding box of the domain and all finite poles, inflated per side by
+    30% of its width (of the larger side, or 1, where that width is 0)."""
     pts = np.concatenate([
         np.asarray(domain_points, dtype=complex).ravel(),
         np.asarray(pole_list, dtype=complex).ravel(),
     ])
     pts = pts[np.isfinite(pts)]
-    return bounding_box(pts, pad=0.3)
+    xmin, xmax = pts.real.min(), pts.real.max()
+    ymin, ymax = pts.imag.min(), pts.imag.max()
+    wx, wy = xmax - xmin, ymax - ymin
+    ref = max(wx, wy) or 1.0
+    dx = 0.3 * (wx if wx > 0 else ref)
+    dy = 0.3 * (wy if wy > 0 else ref)
+    return (xmin - dx, xmax + dx, ymin - dy, ymax + dy)
 
 
 def walsh_error(contour, f_on_contour, r, z):

@@ -421,8 +421,9 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
         assert not ref.converged and ref.history[-1][0] == max_degree
 
     # the figure samples f once, builds one test grid, and solves the
-    # returned model's poles once outside cleanup, for the report, the plot,
-    # the sup error and, when it is a swept snapshot, the sweep
+    # returned model's poles once in all: in cleanup's last check, for the
+    # report, the plot, the sup error and, when it is a swept snapshot, the
+    # sweep
     calls = {"aaa_fit": 0, "sample_function": 0, "test_grid": 0}
     for module, name in ((aaa, "aaa_fit"), (geometry, "sample_function"),
                          (geometry, "test_grid")):
@@ -430,20 +431,15 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
-    solved, in_cleanup, final = [], [False], []
+    solved, final = [], []
     poles, clean = aaa.poles, aaa.cleanup
 
     def recording_poles(r):
-        if not in_cleanup[0]:
-            solved.append(r)
+        solved.append(r)
         return poles(r)
 
     def recording_cleanup(*args):
-        in_cleanup[0] = True
-        try:
-            rep = clean(*args)
-        finally:
-            in_cleanup[0] = False
+        rep = clean(*args)
         final.append(rep.model)
         return rep
 
