@@ -119,10 +119,12 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     """Greedy barycentric rational fit of a SampleSet, without cleanup.
 
     Stops when the max error over non-support samples drops below
-    tol * max|values| (then converged is true), or at max_degree.  The
-    returned report carries the last step's model and error, and the error
-    history and model of every step.  Pass it to cleanup before returning
-    its model to a user.
+    tol * max|values| (then converged is true), at max_degree, or at degree
+    M // 2 - 1 on M samples, the last step whose Loewner matrix over the
+    non-support samples (M - degree - 1 rows, degree + 1 columns) is not
+    wide.  The returned report carries the last step's model and error, and
+    the error history and model of every step.  Pass it to cleanup before
+    returning its model to a user.
     """
     Z, F = _real_if_exact(samples.points, samples.values)
     if tol <= 0:
@@ -173,7 +175,9 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         if max_err <= tol * fscale:
             converged = True
             break
-        if degree >= max_degree or rows.size <= 1:
+        # the next step's matrix would have Z.size - degree - 2 rows for
+        # degree + 2 columns
+        if degree >= max_degree or Z.size < 2 * (degree + 2):
             break
         next_j = int(rows[np.argmax(resid)])
     z, f = Z[cols].astype(complex), F[cols].astype(complex)

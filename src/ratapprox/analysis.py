@@ -152,8 +152,13 @@ def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
         except polyfit.ArnoldiBreakdownError as err:
             # the basis is nested: every degree below the breakdown is valid
             poly_degrees = [n for n in poly_degrees if n < err.step]
+    # the basis can overflow on the grid at high degree: flagged "overflow"
+    perr = {}
     if pmodel is not None:
-        W = polyfit.va_basis(pmodel, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = polyfit.va_basis(pmodel, grid)
+            for n in poly_degrees:
+                perr[n] = _sup(fv - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
 
     entries = []
     for n in degrees:
@@ -163,9 +168,9 @@ def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
             flag = ("pole-in-domain" if sup.pole_in_domain
                     else _flag(sup.value, floor))
             entries.append(Entry(n, Method.RATIONAL, sup.value, flag))
-        if n in poly_degrees:
-            perr = _sup(fv - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
-            entries.append(Entry(n, Method.POLYNOMIAL, perr, _flag(perr, floor)))
+        if n in perr:
+            entries.append(Entry(n, Method.POLYNOMIAL, perr[n],
+                                 _flag(perr[n], floor)))
     entries.sort(key=lambda e: (e.degree, e.method.value))
     return ConvergenceRecord(fn=f, domain=domain, entries=tuple(entries))
 

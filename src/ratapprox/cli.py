@@ -8,9 +8,11 @@ Subcommands:
     potential ...           render a potential contour plot from a model
 
 model.json holds a barycentric model only.  Bad input exits with code 2:
-an unknown function, a bad domain, degree list, --window or --res, a
---max-degree above samples - 2, too few --samples for the domain, or an
-invalid model file.  A failed computation exits with code 1.
+an unknown function, a bad domain, --window or --res, a degree list that
+is not strictly increasing in 0..MAX_DEGREE, a --tol or --floor that is
+not a positive finite number, a negative --max-degree or one above
+samples - 2, too few --samples for the domain, or an invalid model file.
+A failed computation exits with code 1.
 
 Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
 thread count, and are written atomically (write to a temp name, then
@@ -181,8 +183,8 @@ MAX_DEGREE = 100_000
 
 
 def parse_degrees(spec):
-    """Degrees from start:step:stop, start:stop or a comma list, each in
-    0..MAX_DEGREE."""
+    """Strictly increasing degrees from start:step:stop, start:stop or a
+    comma list, each in 0..MAX_DEGREE."""
     try:
         if ":" in spec:
             parts = [int(v) for v in spec.split(":")]
@@ -205,7 +207,15 @@ def parse_degrees(spec):
         raise UsageError(f"negative degree {min(ends)} in {spec!r}")
     if max(ends) > MAX_DEGREE:
         raise UsageError(f"degree {max(ends)} in {spec!r} is above {MAX_DEGREE}")
-    return list(degrees)
+    degrees = list(degrees)
+    if any(b <= a for a, b in zip(degrees, degrees[1:])):
+        raise UsageError(f"degrees in {spec!r} must be strictly increasing")
+    return degrees
+
+
+def _check_positive(flag, value):
+    if not 0 < value < math.inf:
+        raise UsageError(f"{flag} must be a positive finite number, got {value}")
 
 
 def _domain_to_json(domain):
@@ -344,12 +354,8 @@ def run_figure(figure_id, out_dir):
         "potential_gap": potential.potential_gap(field),
     }
 
-    paths = {
-        "convergence.csv": os.path.join(out_dir, "convergence.csv"),
-        "model.json": os.path.join(out_dir, "model.json"),
-        "potential.svg": os.path.join(out_dir, "potential.svg"),
-        "report.json": os.path.join(out_dir, "report.json"),
-    }
+    paths = {name: os.path.join(out_dir, name) for name in (
+        "convergence.csv", "model.json", "potential.svg", "report.json")}
     write_convergence_csv(paths["convergence.csv"], record)
     _write_json(paths["model.json"], model_to_json(model))
     _atomic_write(paths["potential.svg"],
@@ -369,10 +375,13 @@ def cmd_figure(args):
 def cmd_fit(args):
     fn = parse_function(args.fn)
     domain = parse_domain(args.domain)
+    _check_positive("--tol", args.tol)
     # the greedy fit keeps at least one sample off the supports
     max_degree = args.max_degree
     if max_degree is None:
         max_degree = min(DEFAULT_MAX_DEGREE, args.samples - 2)
+    elif max_degree < 0:
+        raise UsageError(f"--max-degree must be nonnegative, got {max_degree}")
     elif max_degree > args.samples - 2:
         raise UsageError(
             f"--max-degree {max_degree} needs at least {max_degree + 2} "
@@ -403,6 +412,7 @@ def cmd_study(args):
     fn = parse_function(args.fn)
     domain = parse_domain(args.domain)
     degrees = parse_degrees(args.degrees)
+    _check_positive("--floor", args.floor)
     record = analysis.convergence_study(
         fn, domain, degrees, tol_floor=args.floor, n_samples=args.samples
     )
@@ -453,7 +463,8 @@ def build_parser():
     fit.add_argument("--tol", type=float, default=1e-12)
     fit.add_argument("--max-degree", type=int, default=None,
                      help=f"at most samples - 2 (default: "
-                          f"min({DEFAULT_MAX_DEGREE}, samples - 2))")
+                          f"min({DEFAULT_MAX_DEGREE}, samples - 2)); the fit "
+                          "stops by degree samples // 2 - 1")
     fit.add_argument("--samples", type=int, default=N_BOUNDARY)
     fit.add_argument("--out", default="model.json")
     fit.add_argument("--report", default=None)

@@ -51,7 +51,8 @@ def test_parse_degrees():
     assert parse_degrees("4:4:60") == list(range(4, 61, 4))
     assert parse_degrees("1,2,5") == [1, 2, 5]
     assert parse_degrees(f"0:{cli.MAX_DEGREE}") == list(range(cli.MAX_DEGREE + 1))
-    for bad in ("a,b", "-2:2:6", "3,-1", "0:1:100001", "-10**30", "0:1:" + "9" * 40):
+    for bad in ("a,b", "-2:2:6", "3,-1", "0:1:100001", "-10**30", "0:1:" + "9" * 40,
+                "4,2", "2,2", "10:-2:0"):
         with pytest.raises(UsageError):
             parse_degrees(bad)
 
@@ -163,8 +164,8 @@ def test_study_command_even_degrees(tmp_path):
 
 
 def test_study_degrees_above_samples_are_capped(tmp_path):
-    # the greedy fit stops at samples - 2 = 98; higher rational degrees are
-    # left out, as polynomial degrees above samples - 1 are
+    # the greedy fit stops by samples // 2 - 1 = 49; higher rational degrees
+    # are left out, as polynomial degrees above samples - 1 are
     out = tmp_path / "conv.csv"
     rc = main(["study", "--fn", "exp", "--domain", "disk:0,0,1",
                "--degrees", "2:2:150", "--samples", "100", "--out", str(out)])
@@ -172,7 +173,7 @@ def test_study_degrees_above_samples_are_capped(tmp_path):
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     rational = [int(r[0]) for r in rows if r[1] == "rational"]
     polynomial = [int(r[0]) for r in rows if r[1] == "polynomial"]
-    assert rational and max(rational) <= 98
+    assert rational and max(rational) <= 49
     assert max(polynomial) <= 99
 
 
@@ -193,10 +194,10 @@ def test_study_flags_overflowing_errors(tmp_path):
     # the polynomial basis regenerated on the test grid overflows at high
     # degree (inf from 176 on); an infinite error must not count as ok
     out, rpt = tmp_path / "conv.csv", tmp_path / "report.json"
-    with np.errstate(all="ignore"):
-        rc = main(["study", "--fn", "abs", "--domain", "interval:-1,1",
-                   "--samples", "300", "--degrees", "2:2:290", "--out",
-                   str(out), "--report", str(rpt)])
+    # the overflow is flagged, not warned about
+    rc = main(["study", "--fn", "abs", "--domain", "interval:-1,1",
+               "--samples", "300", "--degrees", "2:2:290", "--out",
+               str(out), "--report", str(rpt)])
     assert rc == 0
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     assert any(r[3] == "overflow" for r in rows)
@@ -214,6 +215,29 @@ def test_study_rejects_negative_degrees(tmp_path, capsys):
     assert rc == 2
     assert "negative degree -2" in capsys.readouterr().err
     assert not out.exists()
+    # the sweep needs each degree once, in increasing order
+    for spec in ("4,2", "2,2", "10:-2:0"):
+        rc = main(["study", "--fn", "exp", "--domain", "disk:0,0,1",
+                   f"--degrees={spec}", "--samples", "100", "--out", str(out)])
+        assert rc == 2
+        assert (f"degrees in {spec!r} must be strictly increasing"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--tol"], ["study", "--degrees", "2:2:10", "--floor"]],
+    ids=["fit-tol", "study-floor"])
+def test_tol_not_positive_finite_is_usage_error(command, tmp_path, capsys):
+    # nan and inf ran before: nan to max_degree with a null tol in the
+    # report, inf to a degree-0 model reported as converged
+    for value in ("0", "-1", "nan", "inf", "1e-400"):
+        rc = main([*command[:-1], "--fn", "exp", "--domain", "disk:0,0,1",
+                   f"{command[-1]}={value}", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"{command[-1]} must be a positive finite number, "
+                f"got {float(value)}" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("domain", ["disk:nan,0,1", "disk:0,0,1e400",
@@ -473,6 +497,25 @@ def test_fit_max_degree_above_samples_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert "--max-degree 99" in capsys.readouterr().err
     assert not out.exists()
+    rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1",
+               "--max-degree=-1", "--out", str(out)])
+    assert rc == 2
+    assert "--max-degree must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_stops_before_the_loewner_matrix_is_wide(tmp_path):
+    # at degree k on M samples the matrix is M - k - 1 by k + 1; with 10
+    # samples the default max_degree 8 is allowed, and the fit stops at 4,
+    # the last square step, where degree 5 raised "need m >= k"
+    out, rpt = tmp_path / "model.json", tmp_path / "report.json"
+    rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples",
+               "10", "--out", str(out), "--report", str(rpt)])
+    assert rc == 0
+    summary = json.loads(rpt.read_text())
+    assert summary["max_degree"] == 8 and summary["degree"] == 4
+    assert summary["converged"] is False
+    assert load_model(str(out)).degree == 4
 
 
 def test_module_entry_point_runs():
