@@ -4,9 +4,16 @@ The fitter (aaa_fit) selects support points one at a time at the sample of
 largest current error, solves for barycentric weights as the smallest
 right singular vector of the Loewner matrix over the remaining samples,
 and stops at a relative error tolerance.  The Loewner matrix grows by one
-column per support, and its singular pair comes from an SVD of its QR
-R factor (see linalg.min_singular_right_vector).  Its report carries the
-whole trajectory: the error and the model of every step.
+column per support and is kept as a linalg.RowBlockedR: blocks of
+linalg.BLOCK_ROWS sample rows, each with its own Householder QR that
+takes the new column in O(rows * degree).  The block that lost the new
+support's row gives its raw Loewner rows, recomputed from the samples,
+and is factored again when it next takes a column, so nothing is
+downdated.  The singular pair comes from linalg.min_singular_right_vector
+on those raw rows stacked over the other blocks' R factors; on at most
+BLOCK_ROWS samples the stack is the Loewner matrix itself.  The report
+carries the whole trajectory: the error, sigma_min and model of every
+step.
 
 Removing spurious pole-zero pairs with negligible residue is a separate
 step, cleanup, which the caller applies to the model it returns.  It
@@ -89,6 +96,7 @@ class FitReport:
     cleanup_removed: int = 0
     final_error: float = np.nan
     snapshots: tuple = field(default=(), repr=False)   # the model of each step
+    sigma_min: tuple = ()   # each step's smallest Loewner singular value
 
 
 def evaluate(r, z):
@@ -123,8 +131,8 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     M // 2 - 1 on M samples, the last step whose Loewner matrix over the
     non-support samples (M - degree - 1 rows, degree + 1 columns) is not
     wide.  The returned report carries the last step's model and error, and
-    the error history and model of every step.  Pass it to cleanup before
-    returning its model to a user.
+    the error, sigma_min and model of every step.  Pass it to cleanup
+    before returning its model to a user.
     """
     Z, F = _real_if_exact(samples.points, samples.values)
     if tol <= 0:
@@ -138,11 +146,19 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     fscale = float(np.max(np.abs(F)))
     support_idx = []
     history = []
+    sigma_min = []
     converged = False
-    # Loewner column (F - F[j]) / (Z - Z[j]) of each support j, in the order
-    # the supports join; column-major, so a fit that stops early never
-    # touches the memory of the columns it does not reach
-    L = np.empty((Z.size, max_degree + 1), dtype=F.dtype, order="F")
+
+    def loewner(rows, cols):
+        # column c is (F - F[j]) / (Z - Z[j]) for the c-th support j
+        j = support_idx[cols]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (F[rows, None] - F[j]) / (Z[rows, None] - Z[j])
+
+    # the Loewner matrix over the non-support samples, as R factors of row
+    # blocks; a fit that stops early never touches the memory of the
+    # columns it does not reach
+    L = linalg.RowBlockedR(loewner, Z.size, max_degree + 1, F.dtype)
     # row k: the weights of step k, its first k + 1 entries.  The snapshot
     # models are built from it after the loop, not one per step, so that no
     # small allocation of a step outlives it between the large per-step
@@ -156,10 +172,11 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         k = len(support_idx)
         support_idx.append(next_j)
         is_support[next_j] = True
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L[:, k] = (F - F[next_j]) / (Z - Z[next_j])
+        L.drop_row(next_j)
+        L.append_column()
         rows = np.flatnonzero(~is_support)
-        _, w = linalg.min_singular_right_vector(L[rows, :k + 1])
+        sigma, w = linalg.min_singular_right_vector(L.stack())
+        sigma_min.append(sigma)
         W[k, :k + 1] = w
         cols = np.asarray(support_idx, dtype=int)
         with np.errstate(all="ignore"):
@@ -191,6 +208,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         tol=tol,
         final_error=history[-1][1],
         snapshots=snapshots,
+        sigma_min=tuple(sigma_min),
     )
 
 
@@ -213,6 +231,7 @@ def truncate(report, samples, tol, max_degree):
                 tol=tol,
                 final_error=err,
                 snapshots=report.snapshots[:k + 1],
+                sigma_min=report.sigma_min[:k + 1],
             )
     raise ValueError(
         f"the trajectory stops at degree {report.history[-1][0]}, before "

@@ -11,7 +11,8 @@ model.json holds a barycentric model only.  Bad input exits with code 2:
 an unknown function, a bad domain, --window or --res, a degree list that
 is not strictly increasing in 0..MAX_DEGREE, a --tol or --floor that is
 not a positive finite number, a negative --max-degree or one above
-samples - 2, too few --samples for the domain, or an invalid model file.
+samples // 2 - 1, too few --samples for the domain, or an invalid model
+file.
 A failed computation exits with code 1.
 
 Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
@@ -376,16 +377,18 @@ def cmd_fit(args):
     fn = parse_function(args.fn)
     domain = parse_domain(args.domain)
     _check_positive("--tol", args.tol)
-    # the greedy fit keeps at least one sample off the supports
+    # the greedy fit stops at the last degree whose Loewner matrix is not
+    # wide: samples - degree - 1 rows for degree + 1 columns
+    cap = args.samples // 2 - 1
     max_degree = args.max_degree
     if max_degree is None:
-        max_degree = min(DEFAULT_MAX_DEGREE, args.samples - 2)
+        max_degree = min(DEFAULT_MAX_DEGREE, cap)
     elif max_degree < 0:
         raise UsageError(f"--max-degree must be nonnegative, got {max_degree}")
-    elif max_degree > args.samples - 2:
+    elif max_degree > cap:
         raise UsageError(
-            f"--max-degree {max_degree} needs at least {max_degree + 2} "
-            f"samples, got --samples {args.samples}"
+            f"--max-degree {max_degree} is above samples // 2 - 1 = {cap} "
+            f"for --samples {args.samples}"
         )
     samples = geometry.sample_function(fn, domain, args.samples)
     report = aaa_mod.cleanup(
@@ -462,9 +465,8 @@ def build_parser():
     fit.add_argument("--domain", required=True)
     fit.add_argument("--tol", type=float, default=1e-12)
     fit.add_argument("--max-degree", type=int, default=None,
-                     help=f"at most samples - 2 (default: "
-                          f"min({DEFAULT_MAX_DEGREE}, samples - 2)); the fit "
-                          "stops by degree samples // 2 - 1")
+                     help=f"at most samples // 2 - 1 (default: "
+                          f"min({DEFAULT_MAX_DEGREE}, samples // 2 - 1))")
     fit.add_argument("--samples", type=int, default=N_BOUNDARY)
     fit.add_argument("--out", default="model.json")
     fit.add_argument("--report", default=None)

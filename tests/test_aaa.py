@@ -539,3 +539,53 @@ def test_cleanup_with_fewer_free_rows_than_columns_raises_as_before():
         aaa.cleanup(fit, s)
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
+
+
+def _loewner(samples, supports):
+    """The Loewner matrix over the non-support samples, in the arithmetic of
+    the data."""
+    Z, F = aaa._real_if_exact(samples.points, samples.values)
+    idx = np.array([np.flatnonzero(samples.points == z)[0] for z in supports])
+    rows = np.setdiff1d(np.arange(Z.size), idx)
+    return (F[rows, None] - F[idx]) / (Z[rows, None] - Z[idx])
+
+
+@pytest.mark.parametrize("fn,domain", [
+    (FunctionSpec.ABS_VAL, Interval(-1.0, 1.0)),
+    (FunctionSpec.SQRT_NEG, Horseshoe()),
+    (FunctionSpec.EXP_TAN_SQ, Disk(0j, 1.0)),
+])
+def test_greedy_weights_are_optimal_on_several_blocks(fn, domain):
+    # 3000 samples make three row blocks: at every step the recorded
+    # sigma_min and the residual of the weights are a fresh SVD's smallest
+    # singular value of the Loewner matrix, to 64 eps sigma_max
+    s = ra.sample_function(fn, domain, 3000)
+    assert s.points.size > 2 * linalg.BLOCK_ROWS
+    rep = aaa.aaa_fit(s, tol=1e-13, max_degree=60)
+    assert len(rep.sigma_min) == len(rep.history) == len(rep.snapshots) > 20
+    eps = np.finfo(float).eps
+    for sigma, snap in zip(rep.sigma_min, rep.snapshots):
+        L = _loewner(s, snap.supports)
+        sv = np.linalg.svd(L, compute_uv=False)
+        bound = 64 * eps * sv[0]
+        assert abs(sigma - sv[-1]) <= bound
+        assert abs(np.linalg.norm(L @ snap.weights) - sv[-1]) <= bound
+
+
+@pytest.mark.parametrize("case", ["abs-interval", "sqrtneg-horseshoe"])
+def test_one_block_weights_are_the_tall_solve_bit_for_bit(case):
+    # at most BLOCK_ROWS samples: each step's weights and sigma_min are
+    # those of min_singular_right_vector on the gathered Loewner matrix
+    s = ra.sample_function(*_PREFIX_CASES[case], linalg.BLOCK_ROWS)
+    rep = aaa.aaa_fit(s, tol=1e-13, max_degree=60)
+    Z, F = aaa._real_if_exact(s.points, s.values)
+    L = np.empty((Z.size, len(rep.snapshots)), dtype=F.dtype)
+    free = np.ones(Z.size, dtype=bool)
+    for k, (sigma, snap) in enumerate(zip(rep.sigma_min, rep.snapshots)):
+        j = np.flatnonzero(s.points == snap.supports[-1])[0]
+        free[j] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L[:, k] = (F - F[j]) / (Z - Z[j])
+        sigma_ref, w = linalg.min_singular_right_vector(L[free, :k + 1])
+        assert sigma == sigma_ref
+        assert snap.weights.tobytes() == w.astype(complex).tobytes()

@@ -486,8 +486,8 @@ def test_fit_default_max_degree_follows_samples(tmp_path):
                "100", "--out", str(out), "--report", str(rpt)])
     assert rc == 0
     summary = json.loads(rpt.read_text())
-    assert summary["max_degree"] == 98 and summary["converged"]
-    assert load_model(str(out)).degree <= 98
+    assert summary["max_degree"] == 49 and summary["converged"]
+    assert load_model(str(out)).degree <= 49
 
 
 def test_fit_max_degree_above_samples_is_usage_error(tmp_path, capsys):
@@ -497,6 +497,16 @@ def test_fit_max_degree_above_samples_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert "--max-degree 99" in capsys.readouterr().err
     assert not out.exists()
+    # the cap is samples // 2 - 1, where the fit stops
+    rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples",
+               "100", "--max-degree", "50", "--out", str(out)])
+    assert rc == 2
+    assert "above samples // 2 - 1 = 49" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples",
+               "100", "--max-degree", "49", "--out", str(out)])
+    assert rc == 0 and out.exists()
+    out.unlink()
     rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1",
                "--max-degree=-1", "--out", str(out)])
     assert rc == 2
@@ -506,14 +516,14 @@ def test_fit_max_degree_above_samples_is_usage_error(tmp_path, capsys):
 
 def test_fit_stops_before_the_loewner_matrix_is_wide(tmp_path):
     # at degree k on M samples the matrix is M - k - 1 by k + 1; with 10
-    # samples the default max_degree 8 is allowed, and the fit stops at 4,
-    # the last square step, where degree 5 raised "need m >= k"
+    # samples the default max_degree is 4, the last step whose matrix is
+    # not wide (degree 5 would be 4 by 6), and the report says so
     out, rpt = tmp_path / "model.json", tmp_path / "report.json"
     rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples",
                "10", "--out", str(out), "--report", str(rpt)])
     assert rc == 0
     summary = json.loads(rpt.read_text())
-    assert summary["max_degree"] == 8 and summary["degree"] == 4
+    assert summary["max_degree"] == 4 and summary["degree"] == 4
     assert summary["converged"] is False
     assert load_model(str(out)).degree == 4
 

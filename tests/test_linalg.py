@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,3 +182,43 @@ def test_r_updates_keep_the_singular_values(seed, k, extra, steps, real):
     s_ref = np.linalg.svd(linalg.r_factor(L), compute_uv=False)
     eps = np.finfo(float).eps
     assert np.max(np.abs(s_upd - s_ref)) <= 64 * eps * np.linalg.norm(L, 2)
+
+
+def _draw(rng, real, *shape):
+    x = rng.normal(size=shape)
+    return x if real else x + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), real=st.booleans(),
+       m=st.integers(2, 90), max_cols=st.integers(1, 16),
+       block_rows=st.integers(1, 24), ops=st.lists(st.booleans(), max_size=60))
+def test_row_blocked_r_keeps_the_smallest_singular_pair(seed, real, m, max_cols,
+                                                        block_rows, ops):
+    # after any sequence of column appends (True) and row drops (False), the
+    # stack has the smallest singular pair of A[rows, :cols]: its sigma_min
+    # and the residual of its vector are a fresh SVD's to 64 eps sigma_max
+    rng = np.random.default_rng(seed)
+    A = _draw(rng, real, m, max_cols)
+    rows = list(range(m))
+    eps = np.finfo(float).eps
+    with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
+        R = linalg.RowBlockedR(lambda r, c: A[r][:, c], m, max_cols, A.dtype)
+        for append in ops:
+            # keep the matrix tall
+            if append and R.cols < max_cols and len(rows) > R.cols:
+                R.append_column()
+            elif not append and len(rows) > R.cols + 1:
+                R.drop_row(rows.pop(int(rng.integers(len(rows)))))
+            else:
+                continue
+            if R.cols == 0:
+                continue
+            S = R.stack()
+            assert S.dtype == A.dtype and S.shape[1] == R.cols
+            Ak = A[rows][:, :R.cols]
+            s_ref = np.linalg.svd(Ak, compute_uv=False)
+            s, v = linalg.min_singular_right_vector(S)
+            bound = 64 * eps * s_ref[0]
+            assert abs(s - s_ref[-1]) <= bound
+            assert abs(np.linalg.norm(Ak @ v) - s_ref[-1]) <= bound
