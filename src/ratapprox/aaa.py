@@ -127,38 +127,32 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     """Greedy barycentric rational fit of a SampleSet, without cleanup.
 
     Stops when the max error over non-support samples drops below
-    tol * max|values| (then converged is true), at max_degree, or at degree
-    M // 2 - 1 on M samples, the last step whose Loewner matrix over the
-    non-support samples (M - degree - 1 rows, degree + 1 columns) is not
-    wide.  The returned report carries the last step's model and error, and
-    the error, sigma_min and model of every step.  Pass it to cleanup
-    before returning its model to a user.
+    tol * max|values| (then converged is true) or at max_degree.  Any
+    max_degree >= 0 is accepted and capped at M // 2 - 1 on M samples, the
+    last step whose Loewner matrix over the non-support samples
+    (M - degree - 1 rows, degree + 1 columns) is not wide.  The returned
+    report carries the last step's model and error, and the error,
+    sigma_min and model of every step.  Pass it to cleanup before
+    returning its model to a user.
     """
     Z, F = _real_if_exact(samples.points, samples.values)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if Z.size < max_degree + 2:
-        raise ValueError(
-            f"need at least max_degree + 2 = {max_degree + 2} samples, got {Z.size}"
-        )
+    max_degree = min(max_degree, Z.size // 2 - 1)
     fscale = float(np.max(np.abs(F)))
     support_idx = []
     history = []
     sigma_min = []
     converged = False
 
-    def loewner(rows, cols):
-        # column c is (F - F[j]) / (Z - Z[j]) for the c-th support j
-        j = support_idx[cols]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (F[rows, None] - F[j]) / (Z[rows, None] - Z[j])
-
     # the Loewner matrix over the non-support samples, as R factors of row
-    # blocks; a fit that stops early never touches the memory of the
-    # columns it does not reach
-    L = linalg.RowBlockedR(loewner, Z.size, max_degree + 1, F.dtype)
+    # blocks, column c for the c-th support; a fit that stops early never
+    # touches the memory of the columns it does not reach
+    L = linalg.RowBlockedR(
+        lambda rows, cols: _loewner(Z, F, rows, support_idx[cols]),
+        Z.size, max_degree + 1, F.dtype)
     # row k: the weights of step k, its first k + 1 entries.  The snapshot
     # models are built from it after the loop, not one per step, so that no
     # small allocation of a step outlives it between the large per-step
@@ -192,9 +186,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         if max_err <= tol * fscale:
             converged = True
             break
-        # the next step's matrix would have Z.size - degree - 2 rows for
-        # degree + 2 columns
-        if degree >= max_degree or Z.size < 2 * (degree + 2):
+        if degree >= max_degree:
             break
         next_j = int(rows[np.argmax(resid)])
     z, f = Z[cols].astype(complex), F[cols].astype(complex)
@@ -245,6 +237,13 @@ def _real_if_exact(*arrays):
     if any(np.any(a.imag) for a in arrays):
         return arrays
     return tuple(a.real for a in arrays)
+
+
+def _loewner(Z, F, rows, cols):
+    """The Loewner matrix (F[rows] - F[cols]) / (Z[rows] - Z[cols]); rows
+    and cols index the samples (a boolean mask or index array each)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (F[rows, None] - F[cols]) / (Z[rows, None] - Z[cols])
 
 
 def _arrowhead(r, first_row):
@@ -299,16 +298,17 @@ def cleanup(report, samples):
     For each pole whose |residue| falls below 1e-13 * max|values| *
     diameter(samples), the nearest support is dropped and the weights are
     re-solved; this repeats until no spurious poles remain.  The Loewner
-    matrix over the initial supports is built and QR-factored once.  A
-    removal deletes its column from the R factor and appends its sample's
-    row, and the weights come from an SVD of the re-triangularized k-by-k
-    R, so no removal factors the tall matrix again.  When that model has
-    no negligible pole left, the weights are solved once more from the
-    Loewner matrix on the final supports, and the stop is judged on that
-    fresh model.  The returned report carries the cleaned model, the
-    number of removals, its max error over the non-support samples as
-    final_error, and converged re-judged on that error against the
-    report's tol.  The history and snapshots stay those of the greedy run.
+    matrix of the free (non-support) samples is built and QR-factored
+    once.  A removal deletes its column from the R factor and appends the
+    freed sample's row, and the weights come from an SVD of the
+    re-triangularized k-by-k R, so no removal builds the tall matrix.
+    When that model has no negligible pole left, the weights are solved
+    once more from the Loewner matrix of the free samples on the final
+    supports, and the stop is judged on that fresh model.  The returned
+    report carries the cleaned model, the number of removals, its max
+    error over the non-support samples as final_error, and converged
+    re-judged on that error against the report's tol.  The history and
+    snapshots stay those of the greedy run.
     """
     Z, F = _real_if_exact(samples.points, samples.values)
     fscale = float(np.max(np.abs(F)))
@@ -322,26 +322,26 @@ def cleanup(report, samples):
         keep = np.ones(cols.size, dtype=bool)
         free = np.ones(Z.size, dtype=bool)
         free[cols] = False
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L = F[:, None] - F[None, cols]
-            L /= Z[:, None] - Z[None, cols]
-        # L[free, keep] = QR, and only R is kept: deleting a column of both
-        # and appending a row to both leaves them the same singular values
-        # and right singular vectors
-        R = linalg.r_factor(L[free])
+        # the free samples' Loewner matrix over the kept supports is QR,
+        # and only R is kept: deleting a column of both and appending a row
+        # to both leaves them the same singular values and right singular
+        # vectors
+        R = linalg.r_factor(_loewner(Z, F, free, cols))
     while worst is not None:
         # drop the support nearest the most negligible pole, one per pass
         i = np.argmin(np.abs(model.supports - worst))
         q = np.flatnonzero(keep)[i]
         keep[q] = False
         free[cols[q]] = True
-        R = linalg.r_factor(np.vstack([np.delete(R, i, axis=1), L[cols[q], keep]]))
+        R = linalg.r_factor(np.vstack([np.delete(R, i, axis=1),
+                                       _loewner(Z, F, cols[[q]], cols[keep])]))
         _, w = linalg.min_singular_right_vector(R)
         model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
         removed += 1
         worst = _negligible_pole(model, thresh)
         if worst is None:
-            _, w = linalg.min_singular_right_vector(L[np.ix_(free, keep)])
+            _, w = linalg.min_singular_right_vector(
+                _loewner(Z, F, free, cols[keep]))
             model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
             worst = _negligible_pole(model, thresh)
     final_error = _max_error(model, samples)

@@ -19,6 +19,10 @@ from .aaa import BarycentricRational
 from .geometry import FunctionSpec
 
 
+# the default tol_floor of a study, and the one of every figure
+TOL_FLOOR = 1e-13
+
+
 class Method(enum.Enum):
     RATIONAL = "rational"
     POLYNOMIAL = "polynomial"
@@ -175,15 +179,13 @@ def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
     return ConvergenceRecord(fn=f, domain=domain, entries=tuple(entries))
 
 
-def convergence_study(f, domain, degrees, tol_floor=1e-13, n_samples=500):
+def convergence_study(f, domain, degrees, tol_floor=TOL_FLOOR, n_samples=500):
     """degree_sweep on n_samples boundary samples of f, one greedy run to
-    tol_floor and up to the largest requested degree but at most
-    samples - 2, and a fresh test grid.  No cleanup is run."""
+    tol_floor and the largest requested degree (which aaa_fit caps at
+    n_samples // 2 - 1), and a fresh test grid.  No cleanup is run."""
     degrees = _checked_degrees(degrees)
     samples = geometry.sample_function(f, domain, n_samples)
-    trajectory = aaa_mod.aaa_fit(
-        samples, tol=tol_floor,
-        max_degree=min(degrees[-1], samples.points.size - 2))
+    trajectory = aaa_mod.aaa_fit(samples, tol=tol_floor, max_degree=degrees[-1])
     return degree_sweep(f, domain, degrees, tol_floor, samples, trajectory,
                         grid_values(f, domain))
 

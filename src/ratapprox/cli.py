@@ -308,11 +308,9 @@ def run_figure(figure_id, out_dir):
     samples = geometry.sample_function(preset.fn, preset.domain, N_BOUNDARY)
     # one greedy run serves the preset fit and the study: it goes to the
     # tighter tol and the higher degree cap of the two
-    floor = 1e-13
     trajectory = aaa_mod.aaa_fit(
-        samples, tol=min(preset.tol, floor),
-        max_degree=max(preset.max_degree,
-                       min(max(preset.degrees), N_BOUNDARY - 2)),
+        samples, tol=min(preset.tol, analysis.TOL_FLOOR),
+        max_degree=max(preset.max_degree, max(preset.degrees)),
     )
     report = aaa_mod.cleanup(
         aaa_mod.truncate(trajectory, samples, preset.tol, preset.max_degree),
@@ -323,7 +321,8 @@ def run_figure(figure_id, out_dir):
     tests = analysis.grid_values(preset.fn, preset.domain)
     sup = analysis.sup_error_on(preset.fn, model, preset.domain, tests)
     record = analysis.degree_sweep(preset.fn, preset.domain, preset.degrees,
-                                   floor, samples, trajectory, tests)
+                                   analysis.TOL_FLOOR, samples, trajectory,
+                                   tests)
 
     window = potential.default_window(samples.points, pole_list)
     nx = 220
@@ -477,7 +476,7 @@ def build_parser():
     st.add_argument("--domain", required=True)
     st.add_argument("--degrees", required=True,
                     help="start:step:stop or comma list")
-    st.add_argument("--floor", type=float, default=1e-13)
+    st.add_argument("--floor", type=float, default=analysis.TOL_FLOOR)
     st.add_argument("--samples", type=int, default=N_BOUNDARY)
     st.add_argument("--out", default="convergence.csv")
     st.add_argument("--report", default=None)

@@ -187,10 +187,9 @@ def eigenvalues(A):
 def finite_generalized_eigenvalues(E, mask):
     """Finite eigenvalues of the pencil (E, diag(mask)) with 0/1 mask.
 
-    Infinite eigenvalues (from zero mask entries) are discarded.  With an
-    all-ones mask this reduces exactly to eigenvalues(E).  A real E gives
-    a real QZ (LAPACK dggev), whose complex eigenvalues come in conjugate
-    pairs (equal to a few ulps).
+    Infinite eigenvalues (from zero mask entries) are discarded.  A real E
+    gives a real QZ (LAPACK dggev), whose complex eigenvalues come in
+    conjugate pairs (equal to a few ulps).
     """
     E = _as_matrix(E)
     n = E.shape[0]
@@ -199,8 +198,6 @@ def finite_generalized_eigenvalues(E, mask):
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.shape[0] != n:
         raise ValueError(f"mask has length {mask.shape[0]}, expected {n}")
-    if mask.all():
-        return eigenvalues(E)
     B = np.diag(mask.astype(float))
     a, b = scipy.linalg.eig(E, B, right=False, homogeneous_eigvals=True)
     if np.any((a == 0) & (b == 0)) or np.any(np.isnan(a)) or np.any(np.isnan(b)):

@@ -44,20 +44,21 @@ def test_simple_pole_recovered():
     assert abs(res[0] - 1.0) < 1e-8
 
 
-def test_too_few_samples_rejected():
-    pts = circle(10)
-    with pytest.raises(ValueError):
-        aaa.aaa_fit(SampleSet(pts, np.exp(pts)), tol=1e-12, max_degree=20)
-
-
 @pytest.mark.parametrize("m", [9, 10, 11])
 def test_fit_stops_at_the_last_square_step(m):
     # degree k leaves m - k - 1 rows for k + 1 columns: the last step
-    # whose Loewner matrix is not wide is m // 2 - 1
+    # whose Loewner matrix is not wide is m // 2 - 1, and any higher
+    # max_degree is capped there
     pts = circle(m)
-    rep = aaa.aaa_fit(SampleSet(pts, np.exp(pts)), tol=1e-15, max_degree=m - 2)
-    assert rep.history[-1][0] == rep.model.degree == m // 2 - 1
-    assert not rep.converged
+    s = SampleSet(pts, np.exp(pts))
+    capped = aaa.aaa_fit(s, tol=1e-15, max_degree=m // 2 - 1)
+    for max_degree in (m - 2, 10 * m):
+        rep = aaa.aaa_fit(s, tol=1e-15, max_degree=max_degree)
+        assert rep.history[-1][0] == rep.model.degree == m // 2 - 1
+        assert not rep.converged
+        assert rep.history == capped.history
+        assert np.array_equal(rep.model.supports, capped.model.supports)
+        assert np.array_equal(rep.model.weights, capped.model.weights)
 
 
 def test_negative_max_degree_rejected():
