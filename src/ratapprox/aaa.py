@@ -3,17 +3,18 @@
 The fitter (aaa_fit) selects support points one at a time at the sample of
 largest current error, solves for barycentric weights as the smallest
 right singular vector of the Loewner matrix over the remaining samples,
-and stops at a relative error tolerance.  The Loewner matrix grows by one
-column per support and is kept as a linalg.RowBlockedR: blocks of
+and stops at a relative error tolerance.  Each step moves the new
+support from the rows of the Loewner matrix to its columns, in one step
+of a linalg.RowBlockedR, which also holds the remaining rows: blocks of
 linalg.BLOCK_ROWS sample rows, each with its own Householder QR that
 takes the new column in O(rows * degree).  The block that lost the new
 support's row gives its raw Loewner rows, recomputed from the samples,
-and is factored again when it next takes a column, so nothing is
-downdated.  The singular pair comes from linalg.min_singular_right_vector
-on those raw rows stacked over the other blocks' R factors; on at most
-BLOCK_ROWS samples the stack is the Loewner matrix itself.  The report
-carries the whole trajectory: the error, sigma_min and model of every
-step.
+and is factored again at the next step unless it loses a row again, so
+nothing is downdated.  The singular pair comes from
+linalg.min_singular_right_vector on those raw rows stacked over the other
+blocks' R factors; on at most BLOCK_ROWS samples the stack is the Loewner
+matrix itself.  The report carries the whole trajectory: the error,
+sigma_min and model of every step.
 
 Removing spurious pole-zero pairs with negligible residue is a separate
 step, cleanup, which the caller applies to the model it returns.  It
@@ -145,7 +146,6 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     support_idx = []
     history = []
     sigma_min = []
-    converged = False
 
     # the Loewner matrix over the non-support samples, as R factors of row
     # blocks, column c for the c-th support; a fit that stops early never
@@ -158,17 +158,13 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     # small allocation of a step outlives it between the large per-step
     # arrays (kept ones fragment the heap and slow the next steps)
     W = np.empty((max_degree + 1, max_degree + 1), dtype=F.dtype)
-    is_support = np.zeros(Z.size, dtype=bool)
     # first support: largest deviation from the mean, ties at lowest index
     err = np.abs(F - F.mean())
     next_j = int(np.argmax(err))
-    while True:
-        k = len(support_idx)
+    for k in range(max_degree + 1):
         support_idx.append(next_j)
-        is_support[next_j] = True
-        L.drop_row(next_j)
-        L.append_column()
-        rows = np.flatnonzero(~is_support)
+        L.step(next_j)
+        rows = L.rows()
         sigma, w = linalg.min_singular_right_vector(L.stack())
         sigma_min.append(sigma)
         W[k, :k + 1] = w
@@ -180,13 +176,10 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         del C  # free it before the next step's solve, the memory peak
         resid = np.abs(F[rows] - rvals)
         resid = np.where(np.isfinite(resid), resid, np.inf)
-        max_err = float(resid.max()) if resid.size else 0.0
-        degree = len(support_idx) - 1
-        history.append((degree, max_err))
-        if max_err <= tol * fscale:
-            converged = True
-            break
-        if degree >= max_degree:
+        max_err = float(resid.max())
+        history.append((k, max_err))
+        converged = max_err <= tol * fscale
+        if converged:
             break
         next_j = int(rows[np.argmax(resid)])
     z, f = Z[cols].astype(complex), F[cols].astype(complex)

@@ -13,7 +13,8 @@ is not strictly increasing in 0..MAX_DEGREE, a --tol or --floor that is
 not a positive finite number, a negative --max-degree or one above
 samples // 2 - 1, too few --samples for the domain, or an invalid model
 file.
-A failed computation exits with code 1.
+A failed computation exits with code 1, and so does one that runs out of
+memory (say, a --res too large for the potential grid).
 
 Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
 thread count, and are written atomically (write to a temp name, then
@@ -503,7 +504,8 @@ def main(argv=None):
     except (UsageError, geometry.SampleCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError,
+            np.linalg.LinAlgError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

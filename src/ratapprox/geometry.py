@@ -279,11 +279,15 @@ def contains(domain, z, tol=1e-9):
     return bool(inside[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else inside
 
 
-def interior_grid(domain, m=2000):
+# the point budget of interior_grid; the count it returns depends on the domain
+INTERIOR_POINTS = 2000
+
+
+def interior_grid(domain):
     """A scattered set of interior points, used when a rational model has a
     pole suspiciously close to the domain."""
     if isinstance(domain, Disk):
-        n_r = max(4, int(np.sqrt(m / np.pi)))
+        n_r = max(4, int(np.sqrt(INTERIOR_POINTS / np.pi)))
         pts = []
         for i in range(1, n_r + 1):
             rad = domain.radius * i / (n_r + 1)
@@ -292,9 +296,9 @@ def interior_grid(domain, m=2000):
             pts.append(domain.center + rad * np.exp(1j * theta))
         return np.concatenate(pts)
     if isinstance(domain, Interval):
-        return _interval_points(domain, m, offset=0.25)
+        return _interval_points(domain, INTERIOR_POINTS, offset=0.25)
     if isinstance(domain, Horseshoe):
-        n = int(np.sqrt(m)) + 1
+        n = int(np.sqrt(INTERIOR_POINTS)) + 1
         rr = np.linspace(domain.inner_radius, domain.outer_radius, n)
         tt = np.linspace(-np.pi, np.pi, 2 * n, endpoint=False)
         zz = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()

@@ -7,11 +7,11 @@ smallest singular pair of a tall matrix comes from an SVD of its R
 factor, which has the same singular values and right singular vectors.
 Deleting a column of both, or appending a row to both, keeps that true,
 so a caller can update a small R instead of re-factoring a tall A.
-RowBlockedR keeps a tall matrix that gains columns and loses rows as the R
-factors of blocks of its rows, and never downdates: a block that loses a
-row is factored again from its raw rows.  Real input is factored in real
-(float64) arithmetic and complex input in complex128; the complex
-eigenvalues of a real matrix or pencil come in conjugate pairs.
+RowBlockedR keeps a tall matrix that loses a row and gains a column at
+each step as the R factors of blocks of its rows, and never downdates: a
+block that loses a row is factored again from its raw rows.  Real input is
+factored in real (float64) arithmetic and complex input in complex128;
+the complex eigenvalues of a real matrix or pencil come in conjugate pairs.
 All functions are pure and deterministic; returned eigenvalue multisets
 are complex, sorted by real part, then imaginary part.
 """
@@ -76,33 +76,30 @@ BLOCK_ROWS = 1024
 
 
 class RowBlockedR:
-    """A tall matrix A[rows, :cols] that gains columns and loses rows, kept
-    as one R factor per block of BLOCK_ROWS contiguous rows.
+    """A tall matrix A[rows, :cols] that loses a row and gains a column at
+    each step, kept as one R factor per block of BLOCK_ROWS contiguous rows.
 
     entries(rows, cols) returns A[rows][:, cols] for an index array rows
     and a slice cols.  Each block holds the Householder QR of its remaining
-    rows in LAPACK geqrf form, with room for max_cols columns.
-    append_column applies each block's Q^H to the new column and forms one
-    reflector, O(rows * cols).  drop_row does not downdate: the block goes
-    raw, and stays raw through the next append_column; the one after that
-    factors it again from entries.  stack() has the singular values and
-    right singular vectors of A[rows, :cols]: it stacks the rows of the raw
-    blocks and the R of the others, so a single block stacks to
-    A[rows, :cols] itself.
+    rows in LAPACK geqrf form: a Fortran-order (rows, max_cols) array.
+    step(i) removes row i and applies every other block's Q^H to the new
+    column, then forms one reflector, O(rows * cols).  It does not
+    downdate: the block that lost row i goes raw, and the next step factors
+    it again from entries unless it loses a row again.  stack() has the
+    singular values and right singular vectors of A[rows, :cols]: it stacks
+    the raw block's rows and the R of the others, so a single block stacks
+    to A[rows, :cols] itself.
     """
 
     def __init__(self, entries, m, max_cols, dtype):
         self._entries = entries
-        self._max_cols = max_cols
         self.cols = 0
         self._rows = [np.arange(lo, min(lo + BLOCK_ROWS, m))
                       for lo in range(0, m, BLOCK_ROWS)]
-        # flat, so that the first n * max_cols entries are a Fortran-order
-        # n-by-max_cols view for every row count n the block shrinks to
-        self._store = [np.empty(r.size * max_cols, dtype) for r in self._rows]
+        self._qr = [np.empty((r.size, max_cols), dtype, order="F")
+                    for r in self._rows]
         self._tau = [np.empty(min(r.size, max_cols), dtype) for r in self._rows]
-        self._raw = set()       # blocks whose QR is stale
-        self._dropped = set()   # blocks that lost a row since append_column
+        self._raw = None        # the block that lost a row at the last step
         self._geqrf, geqrf_lwork, self._ormqr, self._larfg = (
             scipy.linalg.get_lapack_funcs(
                 ("geqrf", "geqrf_lwork", "ormqr", "larfg"), dtype=dtype))
@@ -110,32 +107,31 @@ class RowBlockedR:
         self._lwork = int(geqrf_lwork(min(m, BLOCK_ROWS), max_cols)[0].real)
         self._trans = "C" if np.dtype(dtype).kind == "c" else "T"
 
-    def _qr(self, b):
-        n = self._rows[b].size
-        return self._store[b][:n * self._max_cols].reshape(
-            (n, self._max_cols), order="F")
+    def rows(self):
+        """The remaining rows of A, ascending."""
+        return np.concatenate(self._rows)
 
-    def drop_row(self, i):
-        """Remove row i of A."""
-        b = i // BLOCK_ROWS
-        self._rows[b] = self._rows[b][self._rows[b] != i]
-        self._raw.add(b)
-        self._dropped.add(b)
-
-    def append_column(self):
-        """Append column self.cols of A."""
+    def step(self, i):
+        """Remove row i of A, then append column self.cols of A."""
+        lost = i // BLOCK_ROWS
+        self._rows[lost] = self._rows[lost][self._rows[lost] != i]
         self.cols += 1
         for b, rows in enumerate(self._rows):
-            if b in self._dropped or rows.size == 0:
+            if b == lost or rows.size == 0:
                 continue
-            if b in self._raw:
+            if b == self._raw:
                 self._factor(b)
             else:
                 self._append(b)
-        self._raw, self._dropped = self._dropped, set()
+        self._raw = lost
 
     def _factor(self, b):
-        A = self._qr(b)[:, :self.cols]
+        # the QR of the rows left reuses the start of the block's memory: an
+        # array per factor grows the resident set (freed ones stay resident)
+        n, m = self._rows[b].size, self._qr[b].shape[1]
+        flat = self._qr[b].reshape(-1, order="F")
+        self._qr[b] = flat[:n * m].reshape((n, m), order="F")
+        A = self._qr[b][:, :self.cols]
         A[...] = self._entries(self._rows[b], slice(0, self.cols))
         # A is Fortran-contiguous, so geqrf overwrites it in place
         _, tau, _, _ = self._geqrf(A, lwork=self._lwork, overwrite_a=True)
@@ -145,7 +141,7 @@ class RowBlockedR:
         c = self.cols - 1
         rows = self._rows[b]
         n = rows.size
-        QR, tau = self._qr(b), self._tau[b]
+        QR, tau = self._qr[b], self._tau[b]
         v = self._entries(rows, slice(c, c + 1))
         k = min(n, c)
         if k:
@@ -156,14 +152,14 @@ class RowBlockedR:
             QR[c, c], QR[c + 1:, c], tau[c] = self._larfg(n - c, v[c, 0], v[c + 1:, 0])
 
     def stack(self):
-        """The raw rows of the raw blocks and the R of the others."""
+        """The raw block's rows and the R of the others."""
         parts = []
         for b, rows in enumerate(self._rows):
-            if b in self._raw:
+            if b == self._raw:
                 parts.append(self._entries(rows, slice(0, self.cols)))
             else:
                 r = min(rows.size, self.cols)
-                parts.append(np.triu(self._qr(b)[:r, :self.cols]))
+                parts.append(np.triu(self._qr[b][:r, :self.cols]))
         return parts[0] if len(parts) == 1 else np.vstack(parts)
 
 

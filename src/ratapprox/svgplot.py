@@ -17,6 +17,9 @@ import numpy as np
 
 from . import geometry
 
+# plot width in pixels; the height follows the window's aspect ratio
+PLOT_WIDTH = 640
+
 # cell-edge pairs crossed for each of the 16 corner sign patterns;
 # edges: 0 bottom, 1 right, 2 top, 3 left; corners: (i,j),(i+1,j),(i+1,j+1),(i,j+1)
 _CASES = {
@@ -94,11 +97,11 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
-def render_potential_svg(field, domain=None, width=640):
+def render_potential_svg(field, domain=None):
     """Render a PotentialField to an SVG document string."""
     xmin, xmax, ymin, ymax = field.window
-    plot_w = width
-    plot_h = int(round(width * (ymax - ymin) / (xmax - xmin)))
+    plot_w = PLOT_WIDTH
+    plot_h = int(round(plot_w * (ymax - ymin) / (xmax - xmin)))
     margin, bar_w, bar_gap = 40, 24, 56
     total_w = plot_w + 2 * margin + bar_w + bar_gap
     total_h = plot_h + 2 * margin

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratapprox import aaa, analysis, cli, geometry
+from ratapprox import aaa, analysis, cli, geometry, potential
 from ratapprox.aaa import BarycentricRational
 from ratapprox.cli import (
     UsageError,
@@ -367,6 +367,21 @@ def test_bad_model_file_is_usage_error(tmp_path, bad):
     rc = main(["potential", "--model", str(path), "--res", "16",
                "--out", str(tmp_path / "plot.svg")])
     assert rc == 2
+    assert not (tmp_path / "plot.svg").exists()
+
+
+def test_out_of_memory_is_a_failure(tmp_path, capsys, monkeypatch):
+    # a --res too large for memory: a failure message and exit 1, no traceback
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB")
+
+    monkeypatch.setattr(potential, "potential_grid", out_of_memory)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_GOOD_MODEL))
+    rc = main(["potential", "--model", str(path), "--res", "100000",
+               "--out", str(tmp_path / "plot.svg")])
+    assert rc == 1
+    assert "failure: Unable to allocate 149. GiB" in capsys.readouterr().err
     assert not (tmp_path / "plot.svg").exists()
 
 

@@ -192,28 +192,23 @@ def _draw(rng, real, *shape):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), real=st.booleans(),
        m=st.integers(2, 90), max_cols=st.integers(1, 16),
-       block_rows=st.integers(1, 24), ops=st.lists(st.booleans(), max_size=60))
+       block_rows=st.integers(1, 24), steps=st.integers(1, 16))
 def test_row_blocked_r_keeps_the_smallest_singular_pair(seed, real, m, max_cols,
-                                                        block_rows, ops):
-    # after any sequence of column appends (True) and row drops (False), the
-    # stack has the smallest singular pair of A[rows, :cols]: its sigma_min
-    # and the residual of its vector are a fresh SVD's to 64 eps sigma_max
+                                                        block_rows, steps):
+    # after each step, which removes a random row and appends a column, rows()
+    # lists the rows left and the stack has the smallest singular pair of
+    # A[rows, :cols]: its sigma_min and the residual of its vector are a fresh
+    # SVD's to 64 eps sigma_max
     rng = np.random.default_rng(seed)
     A = _draw(rng, real, m, max_cols)
     rows = list(range(m))
     eps = np.finfo(float).eps
     with mock.patch.object(linalg, "BLOCK_ROWS", block_rows):
         R = linalg.RowBlockedR(lambda r, c: A[r][:, c], m, max_cols, A.dtype)
-        for append in ops:
-            # keep the matrix tall
-            if append and R.cols < max_cols and len(rows) > R.cols:
-                R.append_column()
-            elif not append and len(rows) > R.cols + 1:
-                R.drop_row(rows.pop(int(rng.integers(len(rows)))))
-            else:
-                continue
-            if R.cols == 0:
-                continue
+        # keep the matrix tall, as the greedy fit does
+        while R.cols < min(steps, max_cols) and len(rows) >= R.cols + 2:
+            R.step(rows.pop(int(rng.integers(len(rows)))))
+            assert R.rows().tolist() == rows
             S = R.stack()
             assert S.dtype == A.dtype and S.shape[1] == R.cols
             Ak = A[rows][:, :R.cols]
