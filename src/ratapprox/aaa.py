@@ -17,10 +17,11 @@ matrix itself.  The report carries the whole trajectory: the error,
 sigma_min and model of every step.
 
 Removing spurious pole-zero pairs with negligible residue is a separate
-step, cleanup, which the caller applies to the model it returns.  It
-QR-factors the Loewner matrix once, updates the small R factor on each
-removal, and takes the returned weights from one fresh solve on the final
-supports.  Since the greedy choices do not depend on the stop rule, a fit
+step, cleanup, which the caller applies to the model it returns.  In
+rounds, it drops the support nearest every such pole at once and re-solves
+on one R factor of the Loewner matrix, which it never updates, and it
+takes the returned weights from one fresh solve on the final supports.
+Since the greedy choices do not depend on the stop rule, a fit
 at a looser tol or a lower max_degree is a prefix of a longer trajectory,
 and truncate cuts it out, so one greedy run can serve a degree sweep and a
 preset fit.
@@ -288,69 +289,58 @@ def cleanup(report, samples):
     """Remove spurious (Froissart) poles with negligible residue from the
     model of an aaa_fit report on the same samples.
 
-    For each pole whose |residue| falls below 1e-13 * max|values| *
-    diameter(samples), the nearest support is dropped and the weights are
-    re-solved; this repeats until no spurious poles remain.  The Loewner
-    matrix of the free (non-support) samples is built and QR-factored
-    once.  A removal deletes its column from the R factor and appends the
-    freed sample's row, and the weights come from an SVD of the
-    re-triangularized k-by-k R, so no removal builds the tall matrix.
-    When that model has no negligible pole left, the weights are solved
-    once more from the Loewner matrix of the free samples on the final
-    supports, and the stop is judged on that fresh model.  The returned
-    report carries the cleaned model, the number of removals, its max
-    error over the non-support samples as final_error, and converged
-    re-judged on that error against the report's tol.  The history and
-    snapshots stay those of the greedy run.
+    A pole is spurious if its |residue| is below 1e-13 * max|values| *
+    diameter(samples).  Each round drops the support nearest every
+    spurious pole at once and re-solves the weights, until a model has no
+    spurious pole.  The Loewner matrix of the samples free before cleanup
+    is QR-factored once, in the first round, and R is never updated: a
+    round solves the kept columns of R stacked over the dropped supports'
+    Loewner rows, which has the singular values and right singular vectors
+    of the free samples' Loewner matrix over the kept supports.  When a
+    round leaves no spurious pole, the weights are solved once more from
+    the Loewner matrix of the free samples on the final supports, and the
+    check is repeated on that fresh model.  The returned report carries the
+    cleaned model, the number of dropped supports, its max error over the
+    non-support samples as final_error, and converged re-judged on that
+    error against the report's tol.  History and snapshots stay the greedy
+    run's.
     """
     Z, F = _real_if_exact(samples.points, samples.values)
     fscale = float(np.max(np.abs(F)))
-    diam = _diameter(Z)
-    thresh = 1e-13 * fscale * diam
+    thresh = 1e-13 * fscale * _diameter(Z)
     model = report.model
-    removed = 0
-    worst = _negligible_pole(model, thresh)
-    if worst is not None:
-        cols = np.array([np.flatnonzero(Z == s)[0] for s in model.supports])
-        keep = np.ones(cols.size, dtype=bool)
-        free = np.ones(Z.size, dtype=bool)
-        free[cols] = False
-        # the free samples' Loewner matrix over the kept supports is QR,
-        # and only R is kept: deleting a column of both and appending a row
-        # to both leaves them the same singular values and right singular
-        # vectors
-        R = linalg.r_factor(_loewner(Z, F, free, cols))
-    while worst is not None:
-        # drop the support nearest the most negligible pole, one per pass
-        i = np.argmin(np.abs(model.supports - worst))
-        q = np.flatnonzero(keep)[i]
-        keep[q] = False
-        free[cols[q]] = True
-        R = linalg.r_factor(np.vstack([np.delete(R, i, axis=1),
-                                       _loewner(Z, F, cols[[q]], cols[keep])]))
-        _, w = linalg.min_singular_right_vector(R)
+    cols = np.array([np.flatnonzero(Z == s)[0] for s in model.supports])
+    keep = np.ones(cols.size, dtype=bool)
+    free = np.ones(Z.size, dtype=bool)
+    free[cols] = False
+    R = None
+    spurious = _spurious_poles(model, thresh)
+    while spurious.size:
+        if R is None:
+            R = linalg.r_factor(_loewner(Z, F, free, cols))
+        nearest = np.argmin(np.abs(spurious[:, None] - model.supports), axis=1)
+        keep[np.flatnonzero(keep)[nearest]] = False
+        _, w = linalg.min_singular_right_vector(
+            np.vstack([R[:, keep], _loewner(Z, F, cols[~keep], cols[keep])]))
         model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
-        removed += 1
-        worst = _negligible_pole(model, thresh)
-        if worst is None:
+        spurious = _spurious_poles(model, thresh)
+        if not spurious.size:
+            free[cols[~keep]] = True
             _, w = linalg.min_singular_right_vector(
                 _loewner(Z, F, free, cols[keep]))
             model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
-            worst = _negligible_pole(model, thresh)
+            spurious = _spurious_poles(model, thresh)
     final_error = _max_error(model, samples)
     return replace(
-        report, model=model, cleanup_removed=removed, final_error=final_error,
-        converged=final_error <= report.tol * fscale,
+        report, model=model, cleanup_removed=int(np.count_nonzero(~keep)),
+        final_error=final_error, converged=final_error <= report.tol * fscale,
     )
 
 
-def _negligible_pole(model, thresh):
-    """The pole of smallest |residue| if that is below thresh, else None."""
+def _spurious_poles(model, thresh):
+    """The poles of model whose |residue| is below thresh."""
     p = model.pole_list
-    res = np.abs(residues(model, p))
-    if not (res < thresh).any():
-        return None
-    return p[np.argmin(res)]
+    return p[np.abs(residues(model, p)) < thresh]
 
 
 def _max_error(model, samples):

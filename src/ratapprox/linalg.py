@@ -5,8 +5,8 @@ fitters need: the R factor of a QR factorization, smallest singular
 pair, eigenvalues, and finite eigenvalues of diagonal-mask pencils.  The
 smallest singular pair of a tall matrix comes from an SVD of its R
 factor, which has the same singular values and right singular vectors.
-Deleting a column of both, or appending a row to both, keeps that true,
-so a caller can update a small R instead of re-factoring a tall A.
+Keeping some columns of both, or appending rows to both, keeps that
+true, so a caller can reuse a small R instead of re-factoring a tall A.
 RowBlockedR keeps a tall matrix that loses a row and gains a column at
 each step as the R factors of blocks of its rows, and never downdates: a
 block that loses a row is factored again from its raw rows.  Real input is

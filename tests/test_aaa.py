@@ -381,15 +381,18 @@ def test_solves_follow_the_data_dtype(case, monkeypatch):
     if case == "abs-interval":
         s = _abs_interval_samples()
         rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-8, max_degree=60), s)
-        assert rep.cleanup_removed > 0
-        expected = np.float64
+        # figure 5: 55 greedy steps, 8 cleanup rounds that drop 10 supports,
+        # and one fresh solve on the final supports
+        assert (len(rep.history), rep.cleanup_removed) == (55, 10)
+        expected, solves = np.float64, 55 + 8 + 1
     else:
         s = ra.sample_function(FunctionSpec.EXP, Disk(0j, 1.0), 500)
         rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=150), s)
-        expected = np.complex128
-    # one solve per greedy step and per removal, and a cleanup that removes
-    # anything re-solves once more on its final supports
-    assert len(seen) == len(rep.history) + rep.cleanup_removed + (rep.cleanup_removed > 0)
+        assert rep.cleanup_removed == 0
+        expected, solves = np.complex128, len(rep.history)
+    # one solve per greedy step and per cleanup round, and a cleanup that
+    # drops anything re-solves once more on its final supports
+    assert len(seen) == solves
     assert set(seen) == {np.dtype(expected)}
 
 
@@ -462,10 +465,18 @@ def test_partial_fraction_identity(seed, d, real):
 
 
 def _refactor_cleanup(report, samples):
-    """cleanup with a fresh solve of L[free, keep] on every removal, the
-    oracle of cleanup's R-factor updates: (supports, weights, removed)."""
+    """cleanup one support at a time, with a fresh solve of L[free, keep] on
+    every removal: the oracle of cleanup's rounds and of their R stack,
+    (supports, weights, removed)."""
     Z, F = aaa._real_if_exact(samples.points, samples.values)
     thresh = 1e-13 * float(np.max(np.abs(F))) * aaa._diameter(Z)
+
+    def most_negligible_pole(model):
+        # the pole of smallest |residue| if that is below thresh, else None
+        p = model.pole_list
+        res = np.abs(aaa.residues(model, p))
+        return p[np.argmin(res)] if (res < thresh).any() else None
+
     model = report.model
     removed = 0
     cols = np.array([np.flatnonzero(Z == s)[0] for s in model.supports])
@@ -474,7 +485,7 @@ def _refactor_cleanup(report, samples):
     free[cols] = False
     with np.errstate(divide="ignore", invalid="ignore"):
         L = (F[:, None] - F[None, cols]) / (Z[:, None] - Z[None, cols])
-    worst = aaa._negligible_pole(model, thresh)
+    worst = most_negligible_pole(model)
     while worst is not None:
         q = np.flatnonzero(keep)[np.argmin(np.abs(model.supports - worst))]
         keep[q] = False
@@ -482,7 +493,7 @@ def _refactor_cleanup(report, samples):
         _, w = linalg.min_singular_right_vector(L[np.ix_(free, keep)])
         model = aaa.BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
         removed += 1
-        worst = aaa._negligible_pole(model, thresh)
+        worst = most_negligible_pole(model)
     return model.supports, model.weights, removed
 
 
@@ -491,6 +502,10 @@ def _cleanup_case(case):
     if case == "figure5":
         s = _abs_interval_samples()
         fit = aaa.aaa_fit(s, tol=1e-8, max_degree=60)
+    elif case == "abs-500":
+        # 44 removals in 21 rounds
+        s = _abs_interval_samples()
+        fit = aaa.aaa_fit(s, tol=1e-13, max_degree=249)
     else:
         s = ra.sample_function(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 2000)
         fit = aaa.aaa_fit(s, tol=1e-13, max_degree=100)
@@ -512,7 +527,7 @@ def test_cleanup_weights_are_a_fresh_solve(case):
     assert rep.model.weights.tobytes() == w.astype(complex).tobytes()
 
 
-@pytest.mark.parametrize("case", ["figure5", "abs-2000"])
+@pytest.mark.parametrize("case", ["figure5", "abs-500", "abs-2000"])
 def test_cleanup_removes_what_the_refactor_oracle_removes(case):
     s, fit, rep = _cleanup_case(case)
     supports, weights, removed = _refactor_cleanup(fit, s)
@@ -521,10 +536,11 @@ def test_cleanup_removes_what_the_refactor_oracle_removes(case):
     assert rep.model.weights.tobytes() == weights.tobytes()
 
 
-def test_cleanup_with_fewer_free_rows_than_columns_raises_as_before():
+def test_cleanup_with_fewer_free_rows_than_columns():
     # a degree-(M-2) model of 1/(z - 3) on M samples: all but one sample
-    # are supports, so L[free] has one row and R is 1-by-(M-1), and the
-    # model's 19 cancelling pole-zero pairs have negligible residue
+    # are supports, so R is 1-by-(M-1), and the model's 19 cancelling
+    # pole-zero pairs have negligible residue.  Dropping their supports
+    # frees enough rows to solve, and leaves the exact degree-1 model
     pts = np.exp(2j * np.pi * np.arange(22) / 22)
     s = SampleSet(pts, 1.0 / (pts - 3.0))
     z, f = s.points[:21], s.values[:21]
@@ -533,13 +549,12 @@ def test_cleanup_with_fewer_free_rows_than_columns_raises_as_before():
     model = aaa.BarycentricRational(z, f, w)
     fit = aaa.FitReport(model=model, history=((20, 0.0),), converged=True,
                         tol=1e-13, final_error=0.0, snapshots=(model,))
-    with pytest.raises(ValueError) as expected:
-        _refactor_cleanup(fit, s)
-    assert str(expected.value) == "need m >= k, got shape (2, 20)"
-    with pytest.raises(ValueError) as got:
-        aaa.cleanup(fit, s)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
+    rep = aaa.cleanup(fit, s)
+    assert rep.model.degree == 1
+    assert rep.cleanup_removed == 19
+    assert abs(aaa.poles(rep.model)[0] - 3.0) <= 1e-14
+    assert rep.final_error <= 1e-15
+    assert rep.converged
 
 
 def _loewner(samples, supports):
