@@ -353,9 +353,11 @@ def _max_error(model, samples):
 
 
 def _diameter(points):
+    """The diameter of a point set, to a factor cos(pi/128) at worst: the
+    largest distance among the points extreme in 64 directions."""
     pts = np.asarray(points)
-    if pts.size > 600:  # pairwise distances on the hull candidates only
-        idx = np.argsort(np.abs(pts - pts.mean()))[-600:]
-        pts = pts[idx]
-    d = np.abs(pts[:, None] - pts[None, :])
-    return float(d.max())
+    if pts.size > 128:
+        theta = np.pi * np.arange(64) / 64
+        proj = np.outer(np.cos(theta), pts.real) + np.outer(np.sin(theta), pts.imag)
+        pts = pts[np.union1d(proj.argmin(axis=1), proj.argmax(axis=1))]
+    return float(np.abs(pts[:, None] - pts[None, :]).max())

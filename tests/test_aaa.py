@@ -557,6 +557,21 @@ def test_cleanup_with_fewer_free_rows_than_columns():
     assert rep.converged
 
 
+@pytest.mark.parametrize("m", [500, 2000, 8000])
+@pytest.mark.parametrize("domain", [
+    Disk(), Disk(0.3 - 0.2j, 2.5), Interval(), Interval(0.5, 3.0),
+    Horseshoe(), Horseshoe(0.2, 2.0, 0.7),
+], ids=["disk", "disk-shifted", "interval", "interval-shifted", "horseshoe",
+        "horseshoe-wide"])
+def test_diameter_is_within_cos_pi_over_128_of_the_exact_one(domain, m):
+    # the cleanup threshold scales with it; the largest pairwise distance,
+    # in chunks of rows, is the exact diameter
+    (z,) = aaa._real_if_exact(ra.boundary_samples(domain, m))
+    exact = max(float(np.abs(z[i:i + 256, None] - z).max())
+                for i in range(0, z.size, 256))
+    assert np.cos(np.pi / 128) * exact <= aaa._diameter(z) <= exact
+
+
 def _loewner(samples, supports):
     """The Loewner matrix over the non-support samples, in the arithmetic of
     the data."""
