@@ -18,7 +18,7 @@ memory (say, a --res too large for the potential grid).
 
 Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
 thread count, and are written atomically (write to a temp name, then
-rename).  CSV floats carry 17 significant digits.  Each JSON file is one
+rename; a failed write removes the temp file).  CSV floats carry 17 significant digits.  Each JSON file is one
 line from stdlib json: keys in a fixed order, floats in their shortest
 form that reads back to the same double, non-finite floats as null.
 """
@@ -26,6 +26,7 @@ form that reads back to the same double, non-finite floats as null.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -114,9 +115,14 @@ def load_model(path):
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(path, obj):
@@ -167,7 +173,9 @@ def parse_domain(spec):
 
 
 def parse_window(spec):
-    """xmin,xmax,ymin,ymax: finite, with a positive finite width and height."""
+    """xmin,xmax,ymin,ymax: finite, with a positive finite width and height,
+    and a plot height (at svgplot.PLOT_WIDTH) that is finite and at least
+    1 px when rounded."""
     try:
         xmin, xmax, ymin, ymax = (float(v) for v in spec.split(","))
     except ValueError as exc:
@@ -176,6 +184,12 @@ def parse_window(spec):
             and 0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf):
         raise UsageError(f"bad --window {spec!r}: need finite numbers, xmin < "
                          "xmax, ymin < ymax, and a finite width and height")
+    # the SVG's plot height, as svgplot computes it
+    plot_h = svgplot.PLOT_WIDTH * (ymax - ymin) / (xmax - xmin)
+    if not (math.isfinite(plot_h) and round(plot_h) >= 1):
+        raise UsageError(f"bad --window {spec!r}: at width {svgplot.PLOT_WIDTH} "
+                         f"px its plot height is {plot_h:g} px, need a finite "
+                         "height of at least 1 px")
     return xmin, xmax, ymin, ymax
 
 

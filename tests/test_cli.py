@@ -385,6 +385,33 @@ def test_out_of_memory_is_a_failure(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "plot.svg").exists()
 
 
+def test_window_without_a_plot_height_is_usage_error(tmp_path, capsys):
+    # a plot height of inf px overflowed in the renderer, and one that
+    # rounds to 0 px wrote nan coordinates
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_GOOD_MODEL))
+    for window, height in (("0,1e-320,0,1", "inf px"),
+                           ("0,1,0,1e-320", "6.39993e-318 px")):
+        rc = main(["potential", "--model", str(path), f"--window={window}",
+                   "--res", "32", "--out", str(tmp_path / "plot.svg")])
+        assert rc == 2, window
+        assert f"its plot height is {height}" in capsys.readouterr().err
+        assert not (tmp_path / "plot.svg").exists()
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    # --out names a directory: the rename fails, exit 1, and the temporary
+    # file beside it is removed
+    out = tmp_path / "outdir"
+    out.mkdir()
+    rc = main(["fit", "--fn", "exp", "--domain", "disk:0,0,1",
+               "--out", str(out)])
+    assert rc == 1
+    assert "failure:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+    assert not any(out.iterdir())
+
+
 def test_model_file_not_json_is_usage_error(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{\"type\": ")
