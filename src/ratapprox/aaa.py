@@ -21,10 +21,9 @@ step, cleanup, which the caller applies to the model it returns.  In
 rounds, it drops the support nearest every such pole at once and re-solves
 on one R factor of the Loewner matrix, which it never updates, and it
 takes the returned weights from one fresh solve on the final supports.
-Since the greedy choices do not depend on the stop rule, a fit
-at a looser tol or a lower max_degree is a prefix of a longer trajectory,
-and truncate cuts it out, so one greedy run can serve a degree sweep and a
-preset fit.
+Since the greedy choices do not depend on the stop rule, a fit at a looser
+tol or a lower max_degree is a prefix of a longer trajectory, and truncate
+cuts it out, so one greedy run can serve a degree sweep and a preset fit.
 
 The arithmetic follows the data: when every sample point and value is
 real, the Loewner and Cauchy matrices, their factorizations and the

@@ -18,9 +18,10 @@ memory (say, a --res too large for the potential grid).
 
 Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
 thread count, and are written atomically (write to a temp name, then
-rename; a failed write removes the temp file).  CSV floats carry 17 significant digits.  Each JSON file is one
-line from stdlib json: keys in a fixed order, floats in their shortest
-form that reads back to the same double, non-finite floats as null.
+rename; a failed write removes the temp file).  CSV floats carry 17
+significant digits.  Each JSON file is one line from stdlib json: keys in
+a fixed order, floats in their shortest form that reads back to the same
+double, non-finite floats as null.
 """
 
 from __future__ import annotations
