@@ -3,57 +3,38 @@
 Greedy barycentric rational fitting, Arnoldi-orthogonalized polynomial
 least squares, potential-field error analysis, and a convergence-study
 harness with six built-in experiments.
+
+Importing the package loads neither numpy nor scipy: each exported name
+imports its module on first use.  Only the command line (ratapprox.cli)
+sets the BLAS thread count; a library caller chooses its own.
 """
 
-from .aaa import (
-    BarycentricRational,
-    FitReport,
-    aaa_fit,
-    cleanup,
-    evaluate,
-    poles,
-    residues,
-    zeros,
-)
-from .analysis import (
-    ConvergenceRecord,
-    Method,
-    RateClass,
-    classify_rate,
-    convergence_study,
-    estimate_sup_error,
-)
-from .geometry import (
-    Disk,
-    FunctionSpec,
-    Horseshoe,
-    Interval,
-    SampleSet,
-    boundary_samples,
-    eval_function,
-    sample_function,
-    test_grid,
-)
-from .polyfit import ArnoldiPolynomial, va_eval, va_fit
-from .potential import (
-    ContourSpec,
-    PotentialField,
-    phi,
-    potential_gap,
-    potential_grid,
-    walsh_error,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarycentricRational", "FitReport", "aaa_fit", "cleanup", "evaluate",
-    "poles", "residues", "zeros",
-    "ConvergenceRecord", "Method", "RateClass", "classify_rate",
-    "convergence_study", "estimate_sup_error",
-    "Disk", "FunctionSpec", "Horseshoe", "Interval", "SampleSet",
-    "boundary_samples", "eval_function", "sample_function", "test_grid",
-    "ArnoldiPolynomial", "va_eval", "va_fit",
-    "ContourSpec", "PotentialField", "phi", "potential_gap",
-    "potential_grid", "walsh_error",
-]
+_EXPORTS = {
+    "aaa": ("BarycentricRational", "FitReport", "aaa_fit", "cleanup",
+            "evaluate", "poles", "residues", "zeros"),
+    "analysis": ("ConvergenceRecord", "Method", "RateClass", "classify_rate",
+                 "convergence_study", "estimate_sup_error"),
+    "geometry": ("Disk", "FunctionSpec", "Horseshoe", "Interval", "SampleSet",
+                 "boundary_samples", "eval_function", "sample_function",
+                 "test_grid"),
+    "polyfit": ("ArnoldiPolynomial", "va_eval", "va_fit"),
+    "potential": ("ContourSpec", "PotentialField", "phi", "potential_gap",
+                  "potential_grid", "walsh_error"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -181,8 +181,9 @@ def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
 
 def convergence_study(f, domain, degrees, tol_floor=TOL_FLOOR, n_samples=500):
     """degree_sweep on n_samples boundary samples of f, one greedy run to
-    tol_floor and the largest requested degree (which aaa_fit caps at
-    n_samples // 2 - 1), and a fresh test grid.  No cleanup is run."""
+    tol_floor and the largest requested degree, and a fresh test grid; no
+    cleanup.  aaa_fit caps the run at n_samples // 2 - 1: rational degrees
+    above that get no entry, and polynomial ones go up to n_samples - 1."""
     degrees = _checked_degrees(degrees)
     samples = geometry.sample_function(f, domain, n_samples)
     trajectory = aaa_mod.aaa_fit(samples, tol=tol_floor, max_degree=degrees[-1])

@@ -16,12 +16,15 @@ file.
 A failed computation exits with code 1, and so does one that runs out of
 memory (say, a --res too large for the potential grid).
 
-Emitted CSV/JSON/SVG files are byte-stable across runs at a fixed BLAS
-thread count, and are written atomically (write to a temp name, then
-rename; a failed write removes the temp file).  CSV floats carry 17
-significant digits.  Each JSON file is one line from stdlib json: keys in
-a fixed order, floats in their shortest form that reads back to the same
-double, non-finite floats as null.
+Importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy loads, unless the user has set one of
+them, so emitted CSV/JSON/SVG files are byte-stable across runs: BLAS
+sums in an order that depends on its thread count.  Files are written
+atomically (write to a temp name, then rename; a failed write removes
+the temp file).  CSV floats carry 17 significant digits.  Each JSON file
+is one line from stdlib json: keys in a fixed order, floats in their
+shortest form that reads back to the same double, non-finite floats as
+null.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+
+# one BLAS thread unless the user chose a count; must run before numpy loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 import numpy as np
 
@@ -185,8 +193,7 @@ def parse_window(spec):
             and 0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf):
         raise UsageError(f"bad --window {spec!r}: need finite numbers, xmin < "
                          "xmax, ymin < ymax, and a finite width and height")
-    # the SVG's plot height, as svgplot computes it
-    plot_h = svgplot.PLOT_WIDTH * (ymax - ymin) / (xmax - xmin)
+    plot_h = svgplot.plot_height((xmin, xmax, ymin, ymax))
     if not (math.isfinite(plot_h) and round(plot_h) >= 1):
         raise UsageError(f"bad --window {spec!r}: at width {svgplot.PLOT_WIDTH} "
                          f"px its plot height is {plot_h:g} px, need a finite "
@@ -491,7 +498,8 @@ def build_parser():
     st.add_argument("--fn", required=True)
     st.add_argument("--domain", required=True)
     st.add_argument("--degrees", required=True,
-                    help="start:step:stop or comma list")
+                    help="start:step:stop or comma list; rational degrees "
+                         "above samples // 2 - 1 get no row")
     st.add_argument("--floor", type=float, default=analysis.TOL_FLOOR)
     st.add_argument("--samples", type=int, default=N_BOUNDARY)
     st.add_argument("--out", default="convergence.csv")

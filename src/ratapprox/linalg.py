@@ -13,13 +13,13 @@ block that loses a row is factored again from its raw rows.  Real input is
 factored in real (float64) arithmetic and complex input in complex128;
 the complex eigenvalues of a real matrix or pencil come in conjugate pairs.
 All functions are pure and deterministic; returned eigenvalue multisets
-are complex, sorted by real part, then imaginary part.
+are complex, sorted by real part, then imaginary part.  scipy.linalg is
+imported where it is called, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularPencilError(ValueError):
@@ -100,6 +100,7 @@ class RowBlockedR:
                     for r in self._rows]
         self._tau = [np.empty(min(r.size, max_cols), dtype) for r in self._rows]
         self._raw = None        # the block that lost a row at the last step
+        import scipy.linalg
         self._geqrf, geqrf_lwork, self._ormqr, self._larfg = (
             scipy.linalg.get_lapack_funcs(
                 ("geqrf", "geqrf_lwork", "ormqr", "larfg"), dtype=dtype))
@@ -194,6 +195,7 @@ def finite_generalized_eigenvalues(E, mask):
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.shape[0] != n:
         raise ValueError(f"mask has length {mask.shape[0]}, expected {n}")
+    import scipy.linalg
     B = np.diag(mask.astype(float))
     a, b = scipy.linalg.eig(E, B, right=False, homogeneous_eigvals=True)
     if np.any((a == 0) & (b == 0)) or np.any(np.isnan(a)) or np.any(np.isnan(b)):

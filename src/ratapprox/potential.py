@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aaa import BarycentricRational, poles as _poles
+from .aaa import BarycentricRational, poles as _poles  # noqa: F401 (see perfbench)
 
 
 class PoleNearContourError(RuntimeError):
@@ -163,7 +163,7 @@ def walsh_error(contour, f_on_contour, r, z):
         raise ValueError("z must lie strictly inside the contour")
     if np.any(np.abs(r.supports - c) >= rho):
         raise ValueError("all supports of r must lie strictly inside the contour")
-    pl = _poles(r) if r.degree >= 1 else np.empty(0, dtype=complex)
+    pl = r.pole_list
     dist = np.abs(np.abs(pl - c) - rho) if pl.size else np.empty(0)
     if pl.size and dist.min() < 1e-8:
         raise PoleNearContourError(complex(pl[np.argmin(dist)]), rho)

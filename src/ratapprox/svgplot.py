@@ -97,11 +97,17 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
+def plot_height(window):
+    """Plot height in px (unrounded; inf on overflow) at PLOT_WIDTH."""
+    xmin, xmax, ymin, ymax = window
+    return PLOT_WIDTH * (ymax - ymin) / (xmax - xmin)
+
+
 def render_potential_svg(field, domain=None):
     """Render a PotentialField to an SVG document string."""
     xmin, xmax, ymin, ymax = field.window
     plot_w = PLOT_WIDTH
-    plot_h = int(round(plot_w * (ymax - ymin) / (xmax - xmin)))
+    plot_h = int(round(plot_height(field.window)))
     margin, bar_w, bar_gap = 40, 24, 56
     total_w = plot_w + 2 * margin + bar_w + bar_gap
     total_h = plot_h + 2 * margin

@@ -1,8 +1,32 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import ratapprox as ra
 from ratapprox.geometry import Disk, FunctionSpec
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """run(*args, **env) runs a fresh interpreter that imports ratapprox
+    from this checkout.  The BLAS thread variables are removed from its
+    environment before env is added."""
+    src = os.path.dirname(os.path.dirname(ra.__file__))
+
+    def run(*args, **env):
+        full = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        full["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, full.get("PYTHONPATH")) if p)
+        full.update(env)
+        return subprocess.run([sys.executable, *args], env=full,
+                              capture_output=True, text=True, timeout=120)
+
+    return run
 
 
 @pytest.fixture(scope="session")

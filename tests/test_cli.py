@@ -579,3 +579,35 @@ def test_module_entry_point_runs():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "usage: ratapprox" in proc.stdout
+
+
+def test_figure_bytes_do_not_depend_on_unset_thread_variables(run_python,
+                                                               tmp_path):
+    # unset, the command line runs BLAS on one thread: two BLAS threads sum
+    # in another order and change all four files of figure 3
+    names = ("convergence.csv", "model.json", "potential.svg", "report.json")
+    for out, env in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        proc = run_python("-m", "ratapprox", "figure", "3", "--out",
+                          str(tmp_path / out), **env)
+        assert proc.returncode == 0, proc.stderr
+    for name in names:
+        assert ((tmp_path / "unset" / name).read_bytes()
+                == (tmp_path / "one" / name).read_bytes()), name
+
+
+def test_thread_count_set_by_the_user_is_kept(run_python):
+    proc = run_python("-c", "import os, ratapprox.cli; print([os.environ.get(v) "
+                      "for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', "
+                      "'MKL_NUM_THREADS')])", OMP_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[None, '2', None]"
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["figure", "9"], 2)])
+def test_help_and_usage_errors_load_no_scipy(run_python, argv, code):
+    proc = run_python("-c", "import sys; from ratapprox import cli; "
+                      f"rc = cli.main({argv!r}); "
+                      "print(rc, sorted(m for m in sys.modules if m == 'scipy' "
+                      "or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} []"
