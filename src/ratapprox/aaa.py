@@ -25,10 +25,13 @@ Since the greedy choices do not depend on the stop rule, a fit at a looser
 tol or a lower max_degree is a prefix of a longer trajectory, and truncate
 cuts it out, so one greedy run can serve a degree sweep and a preset fit.
 
-The arithmetic follows the data: when every sample point and value is
-real, the Loewner and Cauchy matrices, their factorizations and the
-pole/zero pencils are real (float64), so the poles and zeros of a fit to
-real data come in conjugate pairs.  Models are stored, and
+Poles and zeros are the finite eigenvalues of an arrowhead pencil, from
+linalg.arrowhead_eigenvalues: a numpy shift-and-invert eigenvalue solve
+polished by Newton steps.  The arithmetic follows the data: when every
+sample point and value is real, the Loewner and Cauchy matrices, their
+factorizations and the pole/zero pencils are real (float64), and the
+pencils are solved at a real shift, so the poles and zeros of a fit to
+real data come in exactly conjugate pairs.  Models are stored, and
 evaluated, in complex arithmetic either way.
 """
 
@@ -239,32 +242,19 @@ def _loewner(Z, F, rows, cols):
         return (F[rows, None] - F[cols]) / (Z[rows, None] - Z[cols])
 
 
-def _arrowhead(r, first_row):
-    supports, first_row = _real_if_exact(r.supports, first_row)
-    m = supports.size
-    E = np.zeros((m + 1, m + 1), dtype=first_row.dtype)
-    E[0, 1:] = first_row
-    E[1:, 0] = 1.0
-    E[1:, 1:] = np.diag(supports)
-    mask = np.ones(m + 1, dtype=bool)
-    mask[0] = False
-    return E, mask
-
-
 def poles(r):
     """Poles of r: finite eigenvalues of the standard arrowhead pencil."""
     if r.degree < 1:
         raise ValueError("a degree-0 model has no poles")
-    E, mask = _arrowhead(r, r.weights)
-    return linalg.finite_generalized_eigenvalues(E, mask)
+    return linalg.arrowhead_eigenvalues(*_real_if_exact(r.supports, r.weights))
 
 
 def zeros(r):
     """Zeros of r: same pencil with the weighted values in the first row."""
     if r.degree < 1:
         return np.empty(0, dtype=complex)
-    E, mask = _arrowhead(r, r.weights * r.values)
-    return linalg.finite_generalized_eigenvalues(E, mask)
+    return linalg.arrowhead_eigenvalues(
+        *_real_if_exact(r.supports, r.weights * r.values))
 
 
 def residues(r, pole_list):

@@ -462,6 +462,13 @@ def cmd_potential(args):
         raise UsageError(f"--res must be at least 32, got {args.res}")
     window = (parse_window(args.window) if args.window
               else potential.default_window(model.supports, model.pole_list))
+    # the cell centers are xmin + (i + 0.5) * (xmax - xmin) / res, i < res
+    xmin, xmax, ymin, ymax = map(float, window)
+    if not all(math.isfinite((args.res - 0.5) * side)
+               for side in (xmax - xmin, ymax - ymin)):
+        raise UsageError(f"--res {args.res} is too fine for the window "
+                         f"{window}: (res - 0.5) times its width or height "
+                         "overflows")
     domain = parse_domain(args.domain) if args.domain else None
     field = potential.potential_grid(
         model.supports, model.pole_list, window, (args.res, args.res)

@@ -1,29 +1,32 @@
 """Dense linear-algebra kernel for the fitting modules.
 
-Wraps LAPACK (via numpy/scipy) behind the small set of operations the
-fitters need: the R factor of a QR factorization, smallest singular
-pair, eigenvalues, and finite eigenvalues of diagonal-mask pencils.  The
-smallest singular pair of a tall matrix comes from an SVD of its R
-factor, which has the same singular values and right singular vectors.
+Wraps LAPACK (via numpy, and scipy for RowBlockedR's block updates) behind
+the small set of operations the fitters need: the R factor of a QR
+factorization, smallest singular pair, eigenvalues, and the finite
+eigenvalues of arrowhead pencils.  The smallest singular pair of a tall
+matrix comes from an SVD of its R factor, which has the same singular
+values and right singular vectors.
 Keeping some columns of both, or appending rows to both, keeps that
 true, so a caller can reuse a small R instead of re-factoring a tall A.
 RowBlockedR keeps a tall matrix that loses a row and gains a column at
 each step as the R factors of blocks of its rows, and never downdates: a
 block that loses a row is factored again from its raw rows.  Real input is
-factored in real (float64) arithmetic and complex input in complex128;
-the complex eigenvalues of a real matrix or pencil come in conjugate pairs.
+factored in real (float64) arithmetic and complex input in complex128.
+The complex eigenvalues of a real matrix come in conjugate pairs, and
+those of a real arrowhead pencil in exactly conjugate pairs: its
+shift-and-invert solve runs at a real shift.
 All functions are pure and deterministic; returned eigenvalue multisets
-are complex, sorted by real part, then imaginary part.  scipy.linalg is
-imported where it is called, so importing this module loads numpy only.
+are complex, sorted by real part, then imaginary part.  Only a RowBlockedR
+of two or more blocks imports scipy.linalg, for its LAPACK handles;
+importing this module and calling anything else in it loads numpy only.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
-
-
-class SingularPencilError(ValueError):
-    """The pencil (E, diag(mask)) is singular; eigenvalues are undefined."""
 
 
 def _as_matrix(A):
@@ -100,6 +103,8 @@ class RowBlockedR:
                     for r in self._rows]
         self._tau = [np.empty(min(r.size, max_cols), dtype) for r in self._rows]
         self._raw = None        # the block that lost a row at the last step
+        if len(self._rows) == 1:
+            return              # one block never reaches _factor or _append
         import scipy.linalg
         self._geqrf, geqrf_lwork, self._ormqr, self._larfg = (
             scipy.linalg.get_lapack_funcs(
@@ -181,24 +186,62 @@ def eigenvalues(A):
     return _sort_eigs(np.linalg.eigvals(A))
 
 
-def finite_generalized_eigenvalues(E, mask):
-    """Finite eigenvalues of the pencil (E, diag(mask)) with 0/1 mask.
+def arrowhead_eigenvalues(supports, first_row):
+    """The finite eigenvalues of the arrowhead pencil
+    ([0, c^T; 1, diag(z)], diag(0, I)) for distinct supports z and
+    c = first_row, sorted by (real, imag): the roots of the polynomial
+    N(x) = prod_k (x - z_k) * sum_k c_k/(x - z_k), which are the roots of
+    the sum and the supports whose c_k is 0.
 
-    Infinite eigenvalues (from zero mask entries) are discarded.  A real E
-    gives a real QZ (LAPACK dggev), whose complex eigenvalues come in
-    conjugate pairs (equal to a few ulps).
+    A root counts as finite if |x| < 1e13.  Both infinite eigenvalues of
+    the pencil are deflated exactly.  The Householder reflector H with
+    H 1 = -sqrt(m) e_1 makes it equivalent to the m-by-m pencil
+    (A, B = diag(0, 1, ..., 1)), where A is H diag(z) H with c^T H for its
+    first row; there is no division by sum(c).  At a shift s, (A - s B)^-1 B
+    has a zero first column, for the other infinite eigenvalue, and numpy's
+    eigvals of the rest gives the 1 / (x - s).  Newton steps on N, two in
+    complex128 and one in extended precision (numpy.clongdouble), polish
+    the roots; unlike steps on the sum, they keep a root at a support whose
+    c_k is 0.  Real z and c get a real shift, so their complex roots come
+    in exactly conjugate pairs; one root of each pair is polished, and the
+    other is its conjugate.  For m >= 2, c = 0 (a singular pencil) raises
+    numpy.linalg.LinAlgError.
     """
-    E = _as_matrix(E)
-    n = E.shape[0]
-    if E.shape[0] != E.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {E.shape}")
-    mask = np.asarray(mask, dtype=bool).ravel()
-    if mask.shape[0] != n:
-        raise ValueError(f"mask has length {mask.shape[0]}, expected {n}")
-    import scipy.linalg
-    B = np.diag(mask.astype(float))
-    a, b = scipy.linalg.eig(E, B, right=False, homogeneous_eigvals=True)
-    if np.any((a == 0) & (b == 0)) or np.any(np.isnan(a)) or np.any(np.isnan(b)):
-        raise SingularPencilError("singular pencil: indeterminate eigenvalue")
-    finite = np.abs(b) > 1e-13 * (np.abs(a) + np.abs(b))
-    return _sort_eigs(a[finite] / b[finite])
+    z = np.asarray(supports)
+    c = np.asarray(first_row)
+    m = z.size
+    if z.shape != (m,) or c.shape != (m,):
+        raise ValueError(f"need 1-D supports and first_row of equal length, "
+                         f"got shapes {z.shape} and {c.shape}")
+    if m < 2:
+        return np.empty(0, dtype=complex)
+    # the shift need only not be a root: a point off the center of the
+    # supports' disk, since symmetric data often have a root at the center
+    center = z.sum() / m
+    radius = np.abs(z - center).max()
+    real = np.isrealobj(z) and np.isrealobj(c)
+    shift = center + radius * (0.37 if real else cmath.exp(0.7j))
+    r = math.sqrt(m)
+    u = np.ones(m)
+    u[0] += r
+    H = np.eye(m) - np.outer(u, u) / (m + r)     # 2 / (u^T u) = 1 / (m + r)
+    # A - s B: H diag(z - s) H = H diag(z) H - s I below its first row
+    C = (H * (z - shift)) @ H
+    C[0] = c @ H
+    # (A - s B)^-1 B is inv(A - s B) with its first column zeroed
+    mu = np.linalg.eigvals(np.linalg.inv(C)[1:, 1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = shift + 1 / mu
+        if real:
+            x = x[x.imag >= 0]
+            upper = x.imag > 0
+        for ctype in (complex, complex, np.clongdouble):
+            # N'/N = sum_k 1/(x - z_k) + g'/g for g = sum_k c_k/(x - z_k)
+            inv = 1 / (x.astype(ctype, copy=False)[:, None] - z)
+            g = inv @ c
+            step = g / (g * inv.sum(axis=1) - (inv * inv) @ c)
+            step[~np.isfinite(step)] = 0.0
+            x = (x - step).astype(complex, copy=False)
+    if real:
+        x = np.concatenate([x, x[upper].conj()])
+    return _sort_eigs(x[np.abs(x) < 1e13])

@@ -399,6 +399,22 @@ def test_window_without_a_plot_height_is_usage_error(tmp_path, capsys):
         assert not (tmp_path / "plot.svg").exists()
 
 
+def test_grid_too_fine_for_a_wide_window_is_usage_error(tmp_path, capsys):
+    # the cell centers form (i + 0.5) * width for i < res: at --res 240 that
+    # overflowed and wrote inf coordinates; at --res 32 it is finite
+    path = tmp_path / "model.json"
+    assert main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples",
+                 "64", "--out", str(path)]) == 0
+    svg = tmp_path / "plot.svg"
+    args = ["potential", "--model", str(path),
+            "--window=-5e305,5e305,-5e304,5e304", "--out", str(svg)]
+    assert main([*args, "--res", "240"]) == 2
+    assert "--res 240 is too fine for the window" in capsys.readouterr().err
+    assert not svg.exists()
+    assert main([*args, "--res", "32"]) == 0
+    assert "inf" not in svg.read_text()
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
     # --out names a directory: the rename fails, exit 1, and the temporary
     # file beside it is removed
@@ -603,11 +619,39 @@ def test_thread_count_set_by_the_user_is_kept(run_python):
     assert proc.stdout.strip() == "[None, '2', None]"
 
 
-@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["figure", "9"], 2)])
-def test_help_and_usage_errors_load_no_scipy(run_python, argv, code):
+def _main_and_scipy_modules(run_python, argv):
+    """cli.main(argv) in a fresh interpreter: its exit code and the scipy
+    modules loaded, as printed."""
     proc = run_python("-c", "import sys; from ratapprox import cli; "
                       f"rc = cli.main({argv!r}); "
                       "print(rc, sorted(m for m in sys.modules if m == 'scipy' "
                       "or m.startswith('scipy.')))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{code} []"
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["figure", "9"], 2)])
+def test_help_and_usage_errors_load_no_scipy(run_python, argv, code):
+    assert _main_and_scipy_modules(run_python, argv) == f"{code} []"
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "1", "--out", "{tmp}"],
+    # the benchmark's warm-up fit
+    ["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples", "64",
+     "--max-degree", "12", "--tol", "1e-10", "--out", "{tmp}/model.json"],
+])
+def test_figure_and_one_block_fit_load_no_scipy(run_python, tmp_path, argv):
+    # poles come from numpy, and a fit on at most linalg.BLOCK_ROWS samples
+    # (one row block) needs no LAPACK handle
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert _main_and_scipy_modules(run_python, argv) == "0 []"
+
+
+def test_fit_on_two_blocks_loads_its_lapack_handles(run_python, tmp_path):
+    # 2000 samples make two row blocks, whose updates use scipy's LAPACK
+    argv = ["fit", "--fn", "abs", "--domain", "interval:-1,1", "--samples",
+            "2000", "--max-degree", "20", "--out", str(tmp_path / "model.json")]
+    rc, modules = _main_and_scipy_modules(run_python, argv).split(" ", 1)
+    assert rc == "0" and "'scipy.linalg'" in modules
+    assert load_model(str(tmp_path / "model.json")).degree == 20

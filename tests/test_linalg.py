@@ -79,26 +79,29 @@ def test_eigenvalues_rejects_non_square():
 
 
 def test_generalized_no_finite_eigenvalue():
-    # det(E - lambda*diag(0,1)) = -1 identically: empty spectrum
-    E = np.array([[0.0, 1.0], [1.0, 5.0]])
-    ev = linalg.finite_generalized_eigenvalues(E, np.array([False, True]))
-    assert ev.size == 0
+    # det([[0, 1], [1, 5 - lambda]]) = -1 identically: 1/(x - 5) has no root
+    assert linalg.arrowhead_eigenvalues(np.array([5.0]), np.array([1.0])).size == 0
 
 
 def test_generalized_three_by_three():
-    # det(E - lambda*diag(0,1,1)) = 2*lambda - 5 by cofactor expansion
-    E = np.array([[0.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
-    ev = linalg.finite_generalized_eigenvalues(E, np.array([False, True, True]))
+    # 1/(x - 2) + 1/(x - 3) = 0 at x = 2.5: det(E - lambda diag(0, 1, 1))
+    # = 2 lambda - 5 for E = [[0, 1, 1], [1, 2, 0], [1, 0, 3]]
+    ev = linalg.arrowhead_eigenvalues(np.array([2.0, 3.0]), np.array([1.0, 1.0]))
     assert ev.size == 1
     assert abs(ev[0] - 2.5) < 1e-10
 
 
-def test_generalized_all_ones_mask_matches_standard():
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    ev1 = linalg.finite_generalized_eigenvalues(A, np.ones(6, dtype=bool))
-    ev2 = linalg.eigenvalues(A)
-    assert np.max(np.abs(np.sort_complex(ev1) - np.sort_complex(ev2))) < 1e-10
+def test_arrowhead_keeps_a_support_whose_coefficient_is_zero():
+    # 0/x + 1/(x - 1) + 1/(x - 2): the pencil's eigenvalues are the roots of
+    # x (2x - 3), so 0 is one, though the sum is -1.5 there, not 0
+    ev = linalg.arrowhead_eigenvalues(np.array([0.0, 1.0, 2.0]),
+                                      np.array([0.0, 1.0, 1.0]))
+    assert np.allclose(ev, [0.0, 1.5], rtol=0, atol=1e-15)
+
+
+def test_arrowhead_zero_first_row_is_singular():
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.arrowhead_eigenvalues(np.array([1.0, 2.0]), np.zeros(2))
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (13, 6), (300, 6)])
@@ -114,26 +117,37 @@ def test_min_singular_real_matches_complex(shape):
     assert abs(abs(np.vdot(v, v_ref)) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("mask", [[0, 1, 1, 1, 1, 1, 1, 1], [1] * 8])
-def test_generalized_real_matches_complex(mask):
+@pytest.mark.parametrize("m", [3, 9])
+def test_generalized_real_matches_complex(m):
+    # random real supports, and c_k = N(z_k) / prod_{j != k} (z_k - z_j) for
+    # N with m - 1 random roots, conjugate pairs among them: the real solve
+    # (at a real shift) gives exact conjugate pairs, and each root is the
+    # complex solve's to within 8 eps times its condition number for
+    # relative changes of c, sum |c_k/(x - z_k)| / |sum c_k/(x - z_k)^2|
     rng = np.random.default_rng(8)
-    E = rng.normal(size=(8, 8))
-    ev = linalg.finite_generalized_eigenvalues(E, np.array(mask, dtype=bool))
-    ev_ref = linalg.finite_generalized_eigenvalues(E.astype(complex),
-                                                   np.array(mask, dtype=bool))
-    assert ev.size == ev_ref.size == sum(mask) and np.any(ev.imag != 0)
+    pairs = rng.normal(size=(m - 1) // 2) + 1j * rng.uniform(0.5, 2, (m - 1) // 2)
+    roots = np.concatenate([pairs, pairs.conj(), rng.normal(size=(m - 1) % 2)])
+    z = rng.normal(size=m)
+    D = z[:, None] - z
+    np.fill_diagonal(D, 1.0)
+    c = np.prod(z[:, None] - roots, axis=1).real / D.prod(axis=1)
+    ev = linalg.arrowhead_eigenvalues(z, c)
+    ev_ref = linalg.arrowhead_eigenvalues(z.astype(complex), c.astype(complex))
+    assert ev.size == ev_ref.size == m - 1 and np.any(ev.imag != 0)
+    assert np.array_equal(np.sort_complex(ev.conj()), np.sort_complex(ev))
+    q = c / (ev[:, None] - z)
+    cond = np.abs(q).sum(axis=1) / np.abs((q / (ev[:, None] - z)).sum(axis=1))
     # match the two multisets pairwise: nearest remaining partner
     rest = list(ev_ref)
-    for lam in ev:
+    for lam, bound in zip(ev, 8 * np.finfo(float).eps * cond):
         k = int(np.argmin(np.abs(np.array(rest) - lam)))
-        assert abs(rest.pop(k) - lam) <= 1e-12 * abs(lam)
+        assert abs(rest.pop(k) - lam) <= bound
 
 
 def test_integer_input_accepted():
     s, v = linalg.min_singular_right_vector(np.array([[3, 0], [4, 0], [0, 1]]))
     assert abs(s - 1.0) < 1e-12 and abs(abs(v[1]) - 1.0) < 1e-12
-    ev = linalg.finite_generalized_eigenvalues(
-        np.array([[0, 1, 1], [1, 2, 0], [1, 0, 3]]), np.array([False, True, True]))
+    ev = linalg.arrowhead_eigenvalues(np.array([2, 3]), np.array([1, 1]))
     assert ev.size == 1 and abs(ev[0] - 2.5) < 1e-10
     ev = linalg.eigenvalues(np.array([[0, 1], [-1, 0]]))
     assert np.allclose(sorted(ev, key=lambda z: z.imag), [-1j, 1j], atol=1e-12)
