@@ -33,6 +33,10 @@ factorizations and the pole/zero pencils are real (float64), and the
 pencils are solved at a real shift, so the poles and zeros of a fit to
 real data come in exactly conjugate pairs.  Models are stored, and
 evaluated, in complex arithmetic either way.
+
+evaluate_prefixes evaluates the models of a trajectory, whose supports are
+prefixes of the last model's, from one difference matrix z - z_k per point
+set; evaluate is its one-model case.
 """
 
 from __future__ import annotations
@@ -107,24 +111,47 @@ def evaluate(r, z):
     """Evaluate the barycentric quotient; exact support hits return f_k.
 
     A point that is numerically a pole (zero denominator, nonzero
-    numerator) yields an explicit complex infinity.
+    numerator) yields an explicit complex infinity.  This is the one-model
+    case of evaluate_prefixes.
     """
-    zv = np.asarray(z, dtype=complex)
-    scalar = zv.ndim == 0
-    zv = np.atleast_1d(zv).ravel()
-    with np.errstate(all="ignore"):
-        D = zv[:, None] - r.supports[None, :]
-        hit_rows, hit_cols = np.nonzero(D == 0)
-        C = r.weights[None, :] / D
-        num = C @ r.values
-        den = C.sum(axis=1)
-        out = num / den
-    at_pole = (den == 0) & (num != 0)
-    out[at_pole] = complex(np.inf, np.inf)
-    out[hit_rows] = r.values[hit_cols]
-    if scalar:
+    out = evaluate_prefixes([r], z)[0]
+    if np.ndim(z) == 0:
         return complex(out[0])
     return out.reshape(np.shape(z))
+
+
+def evaluate_prefixes(models, z):
+    """Row i of the (len(models), z.size) result is models[i] at the
+    flattened points z, with the bits of evaluate(models[i], z).
+
+    Each model's supports must be a prefix of the last model's, as along a
+    greedy trajectory; raises ValueError otherwise.  The differences to the
+    last model's supports and their exact zeros (support hits) are computed
+    once.  Each model divides its weights by the leading columns into one
+    C-ordered buffer, whose row-strided view gives the matrix-vector
+    product the bits of a contiguous copy's.
+    """
+    last = models[-1].supports
+    for m in models:
+        if not np.array_equal(m.supports, last[:m.supports.size]):
+            raise ValueError(
+                "each model's supports must be a prefix of the last model's")
+    zv = np.asarray(z, dtype=complex).ravel()
+    out = np.empty((len(models), zv.size), dtype=complex)
+    with np.errstate(all="ignore"):
+        D = zv[:, None] - last[None, :]
+        hit_rows, hit_cols = np.nonzero(D == 0)
+        buf = np.empty_like(D)
+        for row, m in zip(out, models):
+            k = m.supports.size
+            C = np.divide(m.weights, D[:, :k], out=buf[:, :k])
+            num = C @ m.values
+            den = C.sum(axis=1)
+            np.divide(num, den, out=row)
+            row[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
+            own = hit_cols < k
+            row[hit_rows[own]] = m.values[hit_cols[own]]
+    return out
 
 
 def aaa_fit(samples, tol=1e-12, max_degree=150):

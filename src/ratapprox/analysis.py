@@ -3,12 +3,16 @@ classification of the observed decay regime.
 
 degree_sweep and sup_error_on take samples, a greedy trajectory and test
 values (grid_values) from their caller: a figure builds each once, and
-convergence_study and estimate_sup_error build their own."""
+convergence_study and estimate_sup_error build their own.  The test values
+build f on the interior grid on first use, at most once per figure or
+study, and a sweep measures its rational entries in one
+aaa.evaluate_prefixes call per point set."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -68,14 +72,34 @@ class RateClass:
     diagnostics: dict
 
 
+@dataclass(frozen=True, eq=False)
+class GridValues:
+    """f on the domain's test grid (grid, values), and, on first use, on
+    its interior grid (interior)."""
+
+    fn: FunctionSpec
+    domain: object
+    grid: np.ndarray
+    values: np.ndarray
+
+    @cached_property
+    def interior(self):
+        """The interior grid's points where f is finite, and f there: the
+        points scanned when a rational model has a pole in the domain."""
+        points = geometry.interior_grid(self.domain)
+        fi = geometry.eval_function(self.fn, points)
+        ok = np.isfinite(fi.real) & np.isfinite(fi.imag)
+        return points[ok], fi[ok]
+
+
 def grid_values(f, domain):
-    """The domain's 4000-point test grid and f on it, as a (grid, values)
-    pair; raises if f is non-finite there."""
+    """The GridValues of f on domain's 4000-point test grid; raises if f is
+    non-finite there."""
     grid = geometry.test_grid(domain, 4000)
     fv = geometry.eval_function(f, grid)
     if not np.all(np.isfinite(fv.real) & np.isfinite(fv.imag)):
         raise ValueError("f is non-finite on the test grid")
-    return grid, fv
+    return GridValues(f, domain, grid, fv)
 
 
 def _sup(err):
@@ -99,84 +123,99 @@ def _checked_degrees(degrees):
     return degrees
 
 
-def sup_error_on(f, approximant, domain, tests):
-    """Sup of |f - approximant| over tests, the grid_values of f on domain.
+def sup_errors_on(models, tests):
+    """The SupError on tests, a GridValues, of each of models: rational
+    models, each one's supports a prefix of the last one's.
 
-    If the approximant is rational and has a pole inside (or within 1e-9
-    of) the domain, the result is flagged and an interior grid is scanned
-    as well.  The poles are the model's pole_list, solved once per model.
+    A model with a pole (its pole_list) inside or within 1e-9 of the domain
+    is flagged, and its error is the larger of the sups over the test grid
+    and over the interior grid.  One aaa.evaluate_prefixes call evaluates
+    every model on the test grid, and one the flagged ones on the interior.
     """
-    grid, fv = tests
-    pole_in_domain = False
+    if not models:
+        return []
+    flags = [bool(np.any(geometry.contains(tests.domain, m.pole_list,
+                                           tol=1e-9))) for m in models]
+    sups = [_sup(tests.values - r)
+            for r in aaa_mod.evaluate_prefixes(models, tests.grid)]
+    flagged = [i for i, flag in enumerate(flags) if flag]
+    if flagged:
+        points, fi = tests.interior
+        if points.size:
+            rows = aaa_mod.evaluate_prefixes([models[i] for i in flagged],
+                                             points)
+            for i, r in zip(flagged, rows):
+                sups[i] = max(sups[i], _sup(fi - r))
+    return [SupError(s, flag) for s, flag in zip(sups, flags)]
+
+
+def sup_error_on(approximant, tests):
+    """Sup of |f - approximant| over tests, a GridValues; for a rational
+    approximant, sup_errors_on of it alone."""
     if isinstance(approximant, BarycentricRational):
-        pole_in_domain = bool(np.any(
-            geometry.contains(domain, approximant.pole_list, tol=1e-9)))
-    sup = _sup(fv - approximant(grid))
-    if pole_in_domain:
-        interior = geometry.interior_grid(domain)
-        fi = geometry.eval_function(f, interior)
-        ok = np.isfinite(fi.real) & np.isfinite(fi.imag)
-        if np.any(ok):
-            sup = max(sup, _sup(fi[ok] - approximant(interior[ok])))
-    return SupError(sup, pole_in_domain)
+        return sup_errors_on([approximant], tests)[0]
+    return SupError(_sup(tests.values - approximant(tests.grid)), False)
 
 
 def estimate_sup_error(f, approximant, domain):
     """sup_error_on the grid_values of f on domain, built for this call."""
-    return sup_error_on(f, approximant, domain, grid_values(f, domain))
+    return sup_error_on(approximant, grid_values(f, domain))
 
 
-def degree_sweep(f, domain, degrees, tol_floor, samples, trajectory, tests):
+def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     """Degree sweep of rational and polynomial sup errors, measured on
-    tests, the grid_values of f on domain.
+    tests, the GridValues of f on its domain.
 
     The caller builds the inputs: samples of f, trajectory an aaa_fit
     report on those samples, and tests.
     Rational entries are trajectory's snapshots, the model of each greedy
-    step before any cleanup, re-measured on the test grid; degrees the run
-    does not reach get no rational entry.  Polynomial entries come from
-    one fit at the largest requested degree the samples allow, samples - 1:
-    the Arnoldi basis is nested, so degree n uses the first n+1 basis
-    columns and coefficients, and the basis is evaluated on the test grid
-    once.  If that fit breaks down at basis column k, it is redone at the
-    largest requested degree below k, and degrees from k on get no
-    polynomial entry.
+    step before any cleanup, re-measured by sup_errors_on, all in one call;
+    degrees the run does not reach get no rational entry.  Polynomial
+    entries come from one fit at the largest requested degree the samples
+    allow, samples - 1: the Arnoldi basis is nested, so degree n uses the
+    first n+1 basis columns and coefficients, and the basis is evaluated on
+    the test grid once.  If that fit breaks down at basis column k, it is
+    redone at the largest requested degree below k, and degrees from k on
+    get no polynomial entry; if basis column k overflows, the same refit
+    is made, and degrees from k on get an infinite error.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor", and errors that are not finite are flagged "overflow".
     """
     degrees = _checked_degrees(degrees)
-    grid, fv = tests
     floor = tol_floor * float(np.max(np.abs(samples.values)))
-    by_degree = {m.degree: m for m in trajectory.snapshots}
     poly_degrees = [n for n in degrees if samples.points.size >= n + 1]
+    perr = {}
     pmodel = None
     while poly_degrees and pmodel is None:
         try:
             pmodel = polyfit.va_fit(samples, poly_degrees[-1])
-        except polyfit.ArnoldiBreakdownError as err:
-            # the basis is nested: every degree below the breakdown is valid
+        except (polyfit.ArnoldiBreakdownError,
+                polyfit.ArnoldiOverflowError) as err:
+            # the basis is nested: every degree below the failure is valid
+            if isinstance(err, polyfit.ArnoldiOverflowError):
+                perr = dict.fromkeys(
+                    (n for n in poly_degrees if n >= err.step), np.inf)
             poly_degrees = [n for n in poly_degrees if n < err.step]
     # the basis can overflow on the grid at high degree: flagged "overflow"
-    perr = {}
     if pmodel is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            W = polyfit.va_basis(pmodel, grid)
+            W = polyfit.va_basis(pmodel, tests.grid)
             for n in poly_degrees:
-                perr[n] = _sup(fv - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
+                perr[n] = _sup(tests.values
+                               - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
+        del W  # free the basis before the rational pass allocates its own
 
-    entries = []
-    for n in degrees:
-        model = by_degree.get(n)
-        if model is not None:
-            sup = sup_error_on(f, model, domain, tests)
-            flag = ("pole-in-domain" if sup.pole_in_domain
-                    else _flag(sup.value, floor))
-            entries.append(Entry(n, Method.RATIONAL, sup.value, flag))
-        if n in perr:
-            entries.append(Entry(n, Method.POLYNOMIAL, perr[n],
-                                 _flag(perr[n], floor)))
+    swept = set(degrees)
+    models = [m for m in trajectory.snapshots if m.degree in swept]
+    entries = [Entry(m.degree, Method.RATIONAL, sup.value,
+                     "pole-in-domain" if sup.pole_in_domain
+                     else _flag(sup.value, floor))
+               for m, sup in zip(models, sup_errors_on(models, tests))]
+    entries += [Entry(n, Method.POLYNOMIAL, e, _flag(e, floor))
+                for n, e in perr.items()]
     entries.sort(key=lambda e: (e.degree, e.method.value))
-    return ConvergenceRecord(fn=f, domain=domain, entries=tuple(entries))
+    return ConvergenceRecord(fn=tests.fn, domain=tests.domain,
+                             entries=tuple(entries))
 
 
 def convergence_study(f, domain, degrees, tol_floor=TOL_FLOOR, n_samples=500):
@@ -187,7 +226,7 @@ def convergence_study(f, domain, degrees, tol_floor=TOL_FLOOR, n_samples=500):
     degrees = _checked_degrees(degrees)
     samples = geometry.sample_function(f, domain, n_samples)
     trajectory = aaa_mod.aaa_fit(samples, tol=tol_floor, max_degree=degrees[-1])
-    return degree_sweep(f, domain, degrees, tol_floor, samples, trajectory,
+    return degree_sweep(degrees, tol_floor, samples, trajectory,
                         grid_values(f, domain))
 
 

@@ -342,10 +342,9 @@ def run_figure(figure_id, out_dir):
     model = report.model
     pole_list = model.pole_list
     tests = analysis.grid_values(preset.fn, preset.domain)
-    sup = analysis.sup_error_on(preset.fn, model, preset.domain, tests)
-    record = analysis.degree_sweep(preset.fn, preset.domain, preset.degrees,
-                                   analysis.TOL_FLOOR, samples, trajectory,
-                                   tests)
+    sup = analysis.sup_error_on(model, tests)
+    record = analysis.degree_sweep(preset.degrees, analysis.TOL_FLOOR,
+                                   samples, trajectory, tests)
 
     window = potential.default_window(samples.points, pole_list)
     nx = 220

@@ -26,6 +26,17 @@ class ArnoldiBreakdownError(RuntimeError):
         )
 
 
+class ArnoldiOverflowError(ArithmeticError):
+    """A basis column's norm overflowed: the sample points are too large
+    for float64 at this degree."""
+
+    def __init__(self, step):
+        self.step = step
+        super().__init__(
+            f"Arnoldi overflow at column {step}: subdiagonal entry not finite"
+        )
+
+
 @dataclass(frozen=True)
 class ArnoldiPolynomial:
     """Degree-n polynomial stored as recurrence coefficients plus a
@@ -44,7 +55,9 @@ def va_fit(samples, degree):
 
     The coefficients are the projections Q^H F / M onto the basis.  A
     lower-degree fit's Hessenberg matrix is a leading block of this one,
-    and its coefficients are a prefix of these up to rounding.
+    and its coefficients are a prefix of these up to rounding.  Raises
+    ArnoldiBreakdownError when a basis column's norm falls below 1e-14, and
+    ArnoldiOverflowError when it is not finite.
     """
     Z, F = samples.points, samples.values
     M = Z.size
@@ -57,18 +70,22 @@ def va_fit(samples, degree):
     H = np.zeros((n + 1, n), dtype=complex)
     Q[:, 0] = 1.0
     root_m = np.sqrt(M)
-    for k in range(n):
-        q = Z * Q[:, k]
-        # modified Gram-Schmidt plus one reorthogonalization sweep
-        for _ in range(2):
-            h = Q[:, : k + 1].conj().T @ q / M
-            q = q - Q[:, : k + 1] @ h
-            H[: k + 1, k] += h
-        sub = np.linalg.norm(q) / root_m
-        if sub < 1e-14:
-            raise ArnoldiBreakdownError(k + 1)
-        H[k + 1, k] = sub
-        Q[:, k + 1] = q / sub
+    # large points overflow the column norms; the check on sub reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            q = Z * Q[:, k]
+            # modified Gram-Schmidt plus one reorthogonalization sweep
+            for _ in range(2):
+                h = Q[:, : k + 1].conj().T @ q / M
+                q = q - Q[:, : k + 1] @ h
+                H[: k + 1, k] += h
+            sub = np.linalg.norm(q) / root_m
+            if not np.isfinite(sub):
+                raise ArnoldiOverflowError(k + 1)
+            if sub < 1e-14:
+                raise ArnoldiBreakdownError(k + 1)
+            H[k + 1, k] = sub
+            Q[:, k + 1] = q / sub
     # Q^H Q = M I, and the breakdown guard keeps every column independent
     c = Q.conj().T @ F / M
     return ArnoldiPolynomial(hessenberg=H, coeffs=c, degree=n)

@@ -247,6 +247,68 @@ def test_interpolation_property(data, real, n):
     assert aaa.evaluate(m, m.supports).tobytes() == m.values.tobytes()
 
 
+def _reference_evaluate(r, z):
+    """The barycentric quotient as evaluate computed it for one model alone,
+    before it became the one-model case of evaluate_prefixes."""
+    zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    with np.errstate(all="ignore"):
+        D = zv[:, None] - r.supports[None, :]
+        hit_rows, hit_cols = np.nonzero(D == 0)
+        C = r.weights[None, :] / D
+        num = C @ r.values
+        den = C.sum(axis=1)
+        out = num / den
+    out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
+    out[hit_rows] = r.values[hit_cols]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), real=st.booleans(),
+       n_supports=st.integers(3, 40), data=st.data())
+def test_evaluate_prefixes_matches_evaluate_bit_for_bit(seed, real, n_supports,
+                                                        data):
+    # models along a trajectory: supports and values are prefixes of the
+    # last model's, each model has weights of its own.  The first two
+    # supports are 0 and 1 with weights (1, 1): 0.5 is an exact pole of
+    # that model.  The points include every support, so each model meets
+    # hits inside its prefix and outside it.
+    rng = np.random.default_rng(seed)
+    sizes = sorted(data.draw(st.sets(st.integers(3, n_supports), max_size=6))
+                   | {2, n_supports})
+
+    def vec(n):
+        v = rng.standard_normal(n)
+        return v if real else v + 1j * rng.standard_normal(n)
+
+    z = np.concatenate([[0.0, 1.0], 3.0 + vec(n_supports - 2)])
+    f = np.concatenate([[1.0, 2.0], vec(n_supports - 2)])
+    models = [aaa.BarycentricRational(z[:k], f[:k], vec(k)) for k in sizes]
+    models[0] = aaa.BarycentricRational(z[:2], f[:2], np.ones(2))
+    pts = np.concatenate([vec(50), z, [0.5]])
+    rows = aaa.evaluate_prefixes(models, pts)
+    assert rows.shape == (len(models), pts.size)
+    assert np.isinf(rows[0, -1])
+    for m, row in zip(models, rows):
+        ref = _reference_evaluate(m, pts)
+        assert row.tobytes() == ref.tobytes()
+        assert aaa.evaluate(m, pts).tobytes() == ref.tobytes()
+        grid = pts[:50].reshape(5, 10)
+        assert aaa.evaluate(m, grid).shape == (5, 10)
+        assert (aaa.evaluate(m, grid).tobytes()
+                == _reference_evaluate(m, grid).tobytes())
+        # a scalar is a one-point set, whose product can round differently
+        for zi in (pts[0], z[1], z[-1], 0.5):
+            assert (np.complex128(aaa.evaluate(m, zi)).tobytes()
+                    == _reference_evaluate(m, zi).tobytes())
+    # the supports must be prefixes of the last model's
+    with pytest.raises(ValueError):
+        aaa.evaluate_prefixes(models[::-1], pts)
+    shifted = aaa.BarycentricRational(z[1:3], f[1:3], np.ones(2))
+    with pytest.raises(ValueError):
+        aaa.evaluate_prefixes([shifted, models[-1]], pts)
+
+
 def _reference_fit(samples, tol, max_degree):
     """Greedy fit and cleanup with a fresh Loewner matrix and thin SVD per solve.
 

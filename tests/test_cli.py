@@ -206,6 +206,22 @@ def test_study_flags_overflowing_errors(tmp_path):
     json.loads(rpt.read_text(), parse_constant=_reject)
 
 
+def test_study_flags_an_overflowing_arnoldi_basis(tmp_path):
+    # on this interval the norm of basis column 1 overflows; it was taken
+    # for a breakdown at column 2, with a RuntimeWarning, and the study
+    # wrote no polynomial row
+    out, rpt = tmp_path / "conv.csv", tmp_path / "report.json"
+    rc = main(["study", "--fn", "abs", "--domain", "interval:-1e300,1e300",
+               "--degrees", "4:2:20", "--out", str(out), "--report", str(rpt)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert ([(int(n), e, flag) for n, method, e, flag in rows
+             if method == "polynomial"]
+            == [(n, "inf", "overflow") for n in range(4, 21, 2)])
+    assert [int(r[0]) for r in rows if r[1] == "rational"] == list(range(4, 21, 2))
+    json.loads(rpt.read_text(), parse_constant=_reject)
+
+
 def test_study_rejects_negative_degrees(tmp_path, capsys):
     # W[:, :n + 1] with n = -2 kept all but the last basis column, and the
     # study wrote a false polynomial row for degree -2
@@ -471,15 +487,86 @@ def test_fit_not_converged_when_cleanup_misses_tol(tmp_path):
     assert summary["converged"] is False
 
 
+def _per_snapshot_sup_error(f, model, domain, grid, fv):
+    """sup_error_on of one rational model, as it was computed one model at a
+    time: the error on the test grid, and if a pole is in the domain the
+    larger of that and the error on a fresh interior grid."""
+    def sup(err):
+        err = np.abs(err)
+        return float(np.max(np.where(np.isfinite(err), err, np.inf)))
+
+    flagged = bool(np.any(geometry.contains(domain, model.pole_list,
+                                            tol=1e-9)))
+    value = sup(fv - aaa.evaluate(model, grid))
+    if flagged:
+        interior = geometry.interior_grid(domain)
+        fi = geometry.eval_function(f, interior)
+        ok = np.isfinite(fi.real) & np.isfinite(fi.imag)
+        if np.any(ok):
+            value = max(value, sup(fi[ok] - aaa.evaluate(model, interior[ok])))
+    return value, flagged
+
+
+@pytest.mark.parametrize("case", ["fig5", "abs-study"])
+def test_sweep_measures_each_point_set_once(case, monkeypatch):
+    # figure 5's sweep and the 500-sample abs study flag many snapshots
+    # pole-in-domain; their rational entries are the one-model-at-a-time
+    # errors bit for bit, from one interior grid and one evaluate_prefixes
+    # call per point set
+    if case == "fig5":
+        preset = cli.PRESETS[5]
+        fn, domain, degrees = preset.fn, preset.domain, list(preset.degrees)
+        samples = geometry.sample_function(fn, domain, cli.N_BOUNDARY)
+        trajectory = aaa.aaa_fit(
+            samples, tol=min(preset.tol, analysis.TOL_FLOOR),
+            max_degree=max(preset.max_degree, max(degrees)))
+
+        def sweep():
+            return analysis.degree_sweep(degrees, analysis.TOL_FLOOR, samples,
+                                         trajectory,
+                                         analysis.grid_values(fn, domain))
+    else:
+        fn, domain, degrees = (FunctionSpec.ABS_VAL, Interval(-1.0, 1.0),
+                               list(range(4, 101, 2)))
+        samples = geometry.sample_function(fn, domain, 500)
+        trajectory = aaa.aaa_fit(samples, tol=analysis.TOL_FLOOR,
+                                 max_degree=degrees[-1])
+
+        def sweep():
+            return analysis.convergence_study(fn, domain, degrees)
+    tests = analysis.grid_values(fn, domain)
+    ref = {m.degree: _per_snapshot_sup_error(fn, m, domain, tests.grid,
+                                             tests.values)
+           for m in trajectory.snapshots if m.degree in degrees}
+    assert sum(flagged for _, flagged in ref.values()) > 1
+
+    calls = {"interior_grid": 0, "evaluate_prefixes": 0}
+    for module, name in ((geometry, "interior_grid"),
+                         (aaa, "evaluate_prefixes")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    record = sweep()
+    assert calls == {"interior_grid": 1, "evaluate_prefixes": 2}
+    got = {e.degree: (e.error, e.flag == "pole-in-domain")
+           for e in record.for_method(analysis.Method.RATIONAL)}
+    assert got.keys() == ref.keys()
+    for n, (error, flagged) in got.items():
+        assert (error.hex(), flagged) == (ref[n][0].hex(), ref[n][1])
+
+
 @pytest.mark.parametrize("figure_id,max_degree", [
-    (1, None), (5, None), (6, None), (6, 20),
-], ids=["fig1", "fig5", "fig6", "fig6-max20"])
+    (1, None), (5, None), (5, 8), (6, None), (6, 20),
+], ids=["fig1", "fig5", "fig5-max8", "fig6", "fig6-max20"])
 def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
                                     monkeypatch):
     # 1: preset max_degree above the study's degree cap; 5: cleanup
     # removes supports; 6: preset max_degree below the study's degree cap,
     # and with max_degree 20 the preset fit stops there, short of the degree
-    # the study's fit converges at
+    # the study's fit converges at.  With max_degree 8, figure 5's returned
+    # model has a pole in the domain, as have swept snapshots: both are
+    # measured on one interior grid
     preset = cli.PRESETS[figure_id]
     if max_degree is not None:
         preset = dataclasses.replace(preset, max_degree=max_degree)
@@ -495,20 +582,21 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
     cli.write_convergence_csv(str(tmp_path / "ref.csv"), ref_record)
     if figure_id == 1:
         assert preset.max_degree > max(preset.degrees)
-    elif figure_id == 5:
+    elif figure_id == 5 and max_degree is None:
         assert ref.cleanup_removed > 0
     else:
         assert preset.max_degree < max(preset.degrees)
     if max_degree is not None:
         assert not ref.converged and ref.history[-1][0] == max_degree
 
-    # the figure samples f once, builds one test grid, and solves the
-    # returned model's poles once in all: in cleanup's last check, for the
-    # report, the plot, the sup error and, when it is a swept snapshot, the
-    # sweep
-    calls = {"aaa_fit": 0, "sample_function": 0, "test_grid": 0}
+    # the figure samples f once, builds one test grid and at most one
+    # interior grid, and solves the returned model's poles once in all: in
+    # cleanup's last check, for the report, the plot, the sup error and,
+    # when it is a swept snapshot, the sweep
+    calls = {"aaa_fit": 0, "sample_function": 0, "test_grid": 0,
+             "interior_grid": 0}
     for module, name in ((aaa, "aaa_fit"), (geometry, "sample_function"),
-                         (geometry, "test_grid")):
+                         (geometry, "test_grid"), (geometry, "interior_grid")):
         def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -528,6 +616,7 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
     monkeypatch.setattr(aaa, "poles", recording_poles)
     monkeypatch.setattr(aaa, "cleanup", recording_cleanup)
     cli.run_figure(figure_id, str(tmp_path / "fig"))
+    assert calls.pop("interior_grid") == (figure_id == 5)
     assert calls == {"aaa_fit": 1, "sample_function": 1, "test_grid": 1}
     assert len(final) == 1
     assert sum(r is final[0] for r in solved) == 1
