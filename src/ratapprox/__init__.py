@@ -4,8 +4,8 @@ Greedy barycentric rational fitting, Arnoldi-orthogonalized polynomial
 least squares, potential-field error analysis, and a convergence-study
 harness with six built-in experiments.
 
-Importing the package loads neither numpy nor scipy: each exported name
-imports its module on first use.  Only the command line (ratapprox.cli)
+Importing the package does not load numpy: each exported name imports its
+module on first use.  Only the command line (ratapprox.cli)
 sets the BLAS thread count; a library caller chooses its own.
 """
 

@@ -8,13 +8,12 @@ support from the rows of the Loewner matrix to its columns, in one step
 of a linalg.RowBlockedR, which also holds the remaining rows: blocks of
 linalg.BLOCK_ROWS sample rows, each with its own Householder QR that
 takes the new column in O(rows * degree).  The block that lost the new
-support's row gives its raw Loewner rows, recomputed from the samples,
-and is factored again at the next step unless it loses a row again, so
-nothing is downdated.  The singular pair comes from
-linalg.min_singular_right_vector on those raw rows stacked over the other
-blocks' R factors; on at most BLOCK_ROWS samples the stack is the Loewner
-matrix itself.  The report carries the whole trajectory: the error,
-sigma_min and model of every step.
+support's row is factored again at once from its raw Loewner rows,
+recomputed from the samples with the new column, so nothing is
+downdated.  The singular pair comes from linalg.min_singular_right_vector
+on the blocks' R factors, stacked; on at most BLOCK_ROWS samples that is
+the SVD of the R of the Loewner matrix itself.  The report carries the
+whole trajectory: the error, sigma_min and model of every step.
 
 Removing spurious pole-zero pairs with negligible residue is a separate
 step, cleanup, which the caller applies to the model it returns.  In

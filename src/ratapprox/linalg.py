@@ -1,24 +1,22 @@
-"""Dense linear-algebra kernel for the fitting modules.
+"""Dense linear-algebra kernel for the fitting modules, on numpy alone.
 
-Wraps LAPACK (via numpy, and scipy for RowBlockedR's block updates) behind
-the small set of operations the fitters need: the R factor of a QR
-factorization, smallest singular pair, eigenvalues, and the finite
-eigenvalues of arrowhead pencils.  The smallest singular pair of a tall
-matrix comes from an SVD of its R factor, which has the same singular
-values and right singular vectors.
+Wraps numpy's LAPACK behind the small set of operations the fitters need:
+the R factor of a QR factorization, smallest singular pair, eigenvalues,
+and the finite eigenvalues of arrowhead pencils.  The smallest singular
+pair of a tall matrix comes from an SVD of its R factor, which has the
+same singular values and right singular vectors.
 Keeping some columns of both, or appending rows to both, keeps that
 true, so a caller can reuse a small R instead of re-factoring a tall A.
 RowBlockedR keeps a tall matrix that loses a row and gains a column at
 each step as the R factors of blocks of its rows, and never downdates: a
-block that loses a row is factored again from its raw rows.  Real input is
-factored in real (float64) arithmetic and complex input in complex128.
-The complex eigenvalues of a real matrix come in conjugate pairs, and
-those of a real arrowhead pencil in exactly conjugate pairs: its
-shift-and-invert solve runs at a real shift.
+block that loses a row is factored again at once from its raw rows, and
+the others take the new column through their Householder reflectors.
+Real input is factored in real (float64) arithmetic and complex input in
+complex128.  The complex eigenvalues of a real matrix come in conjugate
+pairs, and those of a real arrowhead pencil in exactly conjugate pairs:
+its shift-and-invert solve runs at a real shift.
 All functions are pure and deterministic; returned eigenvalue multisets
-are complex, sorted by real part, then imaginary part.  Only a RowBlockedR
-of two or more blocks imports scipy.linalg, for its LAPACK handles;
-importing this module and calling anything else in it loads numpy only.
+are complex, sorted by real part, then imaginary part.
 """
 
 from __future__ import annotations
@@ -73,9 +71,28 @@ def min_singular_right_vector(A):
     return float(s[-1]), v / np.linalg.norm(v)
 
 
-# rows per block of RowBlockedR; a matrix of at most this many rows is one
-# block, and its stack is the matrix itself
+# rows per block of RowBlockedR
 BLOCK_ROWS = 1024
+
+
+def _reflector(a):
+    """LAPACK larfg's Householder reflector of a = (alpha, x): beta, tau and
+    v with v[0] = 1 and (I - tau v v^H)^H a = beta e_1, beta real.
+
+    tau is 0 (no reflection) if x = 0 and alpha is real; else beta =
+    -sign(Re alpha) * hypot(|alpha|, ||x||).  ||x|| is taken of x scaled
+    exactly by a power of two near 1 / max|x|, so it neither overflows nor
+    underflows.
+    """
+    alpha, x = a[0], a[1:]
+    e = np.frexp(np.abs(x).max(initial=0))[1]
+    scale = np.ldexp(1.0, min(-int(e), 1000))
+    xnorm = np.linalg.norm(x * scale) / scale
+    if xnorm == 0 and alpha.imag == 0:
+        return alpha, 0.0, np.concatenate(([1], x))
+    beta = -np.copysign(np.hypot(abs(alpha), xnorm), alpha.real)
+    v = np.concatenate(([1], x / (alpha - beta)))
+    return beta, (beta - alpha) / beta, v
 
 
 class RowBlockedR:
@@ -83,15 +100,15 @@ class RowBlockedR:
     each step, kept as one R factor per block of BLOCK_ROWS contiguous rows.
 
     entries(rows, cols) returns A[rows][:, cols] for an index array rows
-    and a slice cols.  Each block holds the Householder QR of its remaining
-    rows in LAPACK geqrf form: a Fortran-order (rows, max_cols) array.
-    step(i) removes row i and applies every other block's Q^H to the new
-    column, then forms one reflector, O(rows * cols).  It does not
-    downdate: the block that lost row i goes raw, and the next step factors
-    it again from entries unless it loses a row again.  stack() has the
-    singular values and right singular vectors of A[rows, :cols]: it stacks
-    the raw block's rows and the R of the others, so a single block stacks
-    to A[rows, :cols] itself.
+    and a slice cols.  step(i) removes row i and factors the block that held
+    it again, with the new column, by numpy's Householder QR (LAPACK geqrf):
+    nothing is downdated.  Each other block applies its Q^H to the new
+    column in compact WY form, Q = I - V T V^H (Schreiber and Van Loan,
+    1989), and forms one more reflector, in O(rows * cols).  V and T come
+    from a factor's reflectors and tau, T^-1 = striu(V^H V) + diag(1/tau),
+    only when the block first takes a column after it; a single block loses
+    a row at every step and never forms them.  stack() has the singular
+    values and right singular vectors of A[rows, :cols]: the blocks' R.
     """
 
     def __init__(self, entries, m, max_cols, dtype):
@@ -99,19 +116,13 @@ class RowBlockedR:
         self.cols = 0
         self._rows = [np.arange(lo, min(lo + BLOCK_ROWS, m))
                       for lo in range(0, m, BLOCK_ROWS)]
-        self._qr = [np.empty((r.size, max_cols), dtype, order="F")
-                    for r in self._rows]
-        self._tau = [np.empty(min(r.size, max_cols), dtype) for r in self._rows]
-        self._raw = None        # the block that lost a row at the last step
-        if len(self._rows) == 1:
-            return              # one block never reaches _factor or _append
-        import scipy.linalg
-        self._geqrf, geqrf_lwork, self._ormqr, self._larfg = (
-            scipy.linalg.get_lapack_funcs(
-                ("geqrf", "geqrf_lwork", "ormqr", "larfg"), dtype=dtype))
-        # geqrf's optimal workspace for the largest block serves them all
-        self._lwork = int(geqrf_lwork(min(m, BLOCK_ROWS), max_cols)[0].real)
-        self._trans = "C" if np.dtype(dtype).kind == "c" else "T"
+        self._R = [np.zeros((min(r.size, max_cols), max_cols), dtype)
+                   for r in self._rows]
+        # a block's geqrf output and tau from its last factor, until it takes
+        # a column; then its V and T, kept for later factors
+        self._geqrf = [(np.zeros((r.size, 0), dtype), np.zeros(0, dtype))
+                       for r in self._rows]
+        self._wy = [None] * len(self._rows)
 
     def rows(self):
         """The remaining rows of A, ascending."""
@@ -123,50 +134,54 @@ class RowBlockedR:
         self._rows[lost] = self._rows[lost][self._rows[lost] != i]
         self.cols += 1
         for b, rows in enumerate(self._rows):
-            if b == lost or rows.size == 0:
-                continue
-            if b == self._raw:
-                self._factor(b)
-            else:
+            if rows.size and b == lost:
+                self._geqrf[b] = None   # free the last factor first
+                h, tau = np.linalg.qr(self._entries(rows, slice(0, self.cols)),
+                                      mode="raw")
+                self._geqrf[b] = h.T, tau
+                self._R[b][:tau.size, :self.cols] = np.triu(h.T[:tau.size])
+            elif rows.size:
                 self._append(b)
-        self._raw = lost
 
-    def _factor(self, b):
-        # the QR of the rows left reuses the start of the block's memory: an
-        # array per factor grows the resident set (freed ones stay resident)
-        n, m = self._rows[b].size, self._qr[b].shape[1]
-        flat = self._qr[b].reshape(-1, order="F")
-        self._qr[b] = flat[:n * m].reshape((n, m), order="F")
-        A = self._qr[b][:, :self.cols]
-        A[...] = self._entries(self._rows[b], slice(0, self.cols))
-        # A is Fortran-contiguous, so geqrf overwrites it in place
-        _, tau, _, _ = self._geqrf(A, lwork=self._lwork, overwrite_a=True)
-        self._tau[b][:tau.size] = tau
+    def _form_wy(self, b, n):
+        h, tau = self._geqrf[b]
+        self._geqrf[b] = None
+        if self._wy[b] is None:
+            m = self._R[b].shape[1]
+            self._wy[b] = (np.empty((n, m), h.dtype, order="F"),
+                           np.empty((m, m), h.dtype))
+        k = tau.size
+        V, T = self._wy[b][0][:n, :k], self._wy[b][1]
+        V[...] = np.tril(h[:, :k], -1)
+        np.fill_diagonal(V, 1)
+        # tau = 0 where a column is already zero below the diagonal: no
+        # reflector, so a zero column of V
+        none = tau == 0
+        V[:, none] = 0
+        Tinv = np.triu(V.conj().T @ V, 1)
+        np.fill_diagonal(Tinv, 1 / np.where(none, 1, tau))
+        T[:k, :k] = np.linalg.inv(Tinv)
 
     def _append(self, b):
-        c = self.cols - 1
-        rows = self._rows[b]
-        n = rows.size
-        QR, tau = self._qr[b], self._tau[b]
-        v = self._entries(rows, slice(c, c + 1))
+        c, n, R = self.cols - 1, self._rows[b].size, self._R[b]
+        if self._geqrf[b] is not None:
+            self._form_wy(b, n)
+        V, T = self._wy[b][0][:n], self._wy[b][1]
         k = min(n, c)
-        if k:
-            v, _, _ = self._ormqr("L", self._trans, QR[:, :k], tau[:k], v, 1,
-                                  overwrite_c=True)
-        QR[:, c] = v[:, 0]
+        a = self._entries(self._rows[b], slice(c, c + 1))[:, 0]
+        if k:   # a = Q^H a
+            a -= V[:, :k] @ (a.conj() @ V[:, :k] @ T[:k, :k]).conj()
+        R[:k, c] = a[:k]
         if c < n:
-            QR[c, c], QR[c + 1:, c], tau[c] = self._larfg(n - c, v[c, 0], v[c + 1:, 0])
+            R[c, :c] = T[c, :c] = V[:c, c] = 0
+            R[c, c], tau, V[c:, c] = _reflector(a[c:])
+            u = (V[c:, c].conj() @ V[c:, :c]).conj()    # V[:, :c]^H v
+            T[:c, c], T[c, c] = -tau * (T[:c, :c] @ u), tau
 
     def stack(self):
-        """The raw block's rows and the R of the others."""
-        parts = []
-        for b, rows in enumerate(self._rows):
-            if b == self._raw:
-                parts.append(self._entries(rows, slice(0, self.cols)))
-            else:
-                r = min(rows.size, self.cols)
-                parts.append(np.triu(self._qr[b][:r, :self.cols]))
-        return parts[0] if len(parts) == 1 else np.vstack(parts)
+        """The R factors of the blocks, stacked."""
+        return np.vstack([R[:min(rows.size, self.cols), :self.cols]
+                          for R, rows in zip(self._R, self._rows)])
 
 
 def _sort_eigs(vals):
@@ -230,7 +245,7 @@ def arrowhead_eigenvalues(supports, first_row):
     C[0] = c @ H
     # (A - s B)^-1 B is inv(A - s B) with its first column zeroed
     mu = np.linalg.eigvals(np.linalg.inv(C)[1:, 1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = shift + 1 / mu
         if real:
             x = x[x.imag >= 0]

@@ -724,23 +724,35 @@ def test_help_and_usage_errors_load_no_scipy(run_python, argv, code):
     assert _main_and_scipy_modules(run_python, argv) == f"{code} []"
 
 
-@pytest.mark.parametrize("argv", [
-    ["figure", "1", "--out", "{tmp}"],
+@pytest.mark.parametrize("commands, degree", [
+    ([["figure", "1", "--out", "{tmp}"]], None),
     # the benchmark's warm-up fit
-    ["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples", "64",
-     "--max-degree", "12", "--tol", "1e-10", "--out", "{tmp}/model.json"],
-])
-def test_figure_and_one_block_fit_load_no_scipy(run_python, tmp_path, argv):
-    # poles come from numpy, and a fit on at most linalg.BLOCK_ROWS samples
-    # (one row block) needs no LAPACK handle
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    assert _main_and_scipy_modules(run_python, argv) == "0 []"
+    ([["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--samples", "64",
+       "--max-degree", "12", "--tol", "1e-10", "--out", "{tmp}/model.json"]],
+     None),
+    # 2000 samples make two row blocks of linalg.RowBlockedR, then the
+    # potential of that model
+    ([["fit", "--fn", "abs", "--domain", "interval:-1,1", "--samples", "2000",
+       "--max-degree", "20", "--out", "{tmp}/model.json"],
+      ["potential", "--model", "{tmp}/model.json", "--res", "32", "--out",
+       "{tmp}/potential.svg"]], 20),
+    ([["study", "--fn", "abs", "--domain", "interval:-1,1", "--degrees",
+       "4:4:20", "--out", "{tmp}/conv.csv"]], None),
+], ids=["figure", "warm-up-fit", "two-block-fit-and-potential", "study"])
+def test_no_command_loads_scipy(run_python, tmp_path, commands, degree):
+    # poles come from numpy, and so do the QR updates of a fit's row blocks
+    for argv in commands:
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert _main_and_scipy_modules(run_python, argv) == "0 []", argv
+    if degree is not None:
+        assert load_model(str(tmp_path / "model.json")).degree == degree
 
 
-def test_fit_on_two_blocks_loads_its_lapack_handles(run_python, tmp_path):
-    # 2000 samples make two row blocks, whose updates use scipy's LAPACK
-    argv = ["fit", "--fn", "abs", "--domain", "interval:-1,1", "--samples",
-            "2000", "--max-degree", "20", "--out", str(tmp_path / "model.json")]
-    rc, modules = _main_and_scipy_modules(run_python, argv).split(" ", 1)
-    assert rc == "0" and "'scipy.linalg'" in modules
-    assert load_model(str(tmp_path / "model.json")).degree == 20
+@pytest.mark.parametrize("bound", ["1e153", "1e155", "1e160"])
+def test_study_at_a_large_scale_warns_nothing(run_python, tmp_path, bound):
+    # the pole solve's Newton step overflowed here with a RuntimeWarning,
+    # which -W error turned into a traceback; a non-finite step is set to 0
+    proc = run_python("-W", "error", "-m", "ratapprox", "study", "--fn", "abs",
+                      "--domain", f"interval:-{bound},{bound}", "--degrees",
+                      "4:2:8", "--out", str(tmp_path / "conv.csv"))
+    assert proc.returncode == 0 and proc.stderr == ""
