@@ -11,6 +11,7 @@ RowBlockedR keeps a tall matrix that loses a row and gains a column at
 each step as the R factors of blocks of its rows, and never downdates: a
 block that loses a row is factored again at once from its raw rows, and
 the others take the new column through their Householder reflectors.
+Every reflector is LAPACK's (larfg, through numpy's QR).
 Real input is factored in real (float64) arithmetic and complex input in
 complex128.  The complex eigenvalues of a real matrix come in conjugate
 pairs, and those of a real arrowhead pencil in exactly conjugate pairs:
@@ -75,26 +76,6 @@ def min_singular_right_vector(A):
 BLOCK_ROWS = 1024
 
 
-def _reflector(a):
-    """LAPACK larfg's Householder reflector of a = (alpha, x): beta, tau and
-    v with v[0] = 1 and (I - tau v v^H)^H a = beta e_1, beta real.
-
-    tau is 0 (no reflection) if x = 0 and alpha is real; else beta =
-    -sign(Re alpha) * hypot(|alpha|, ||x||).  ||x|| is taken of x scaled
-    exactly by a power of two near 1 / max|x|, so it neither overflows nor
-    underflows.
-    """
-    alpha, x = a[0], a[1:]
-    e = np.frexp(np.abs(x).max(initial=0))[1]
-    scale = np.ldexp(1.0, min(-int(e), 1000))
-    xnorm = np.linalg.norm(x * scale) / scale
-    if xnorm == 0 and alpha.imag == 0:
-        return alpha, 0.0, np.concatenate(([1], x))
-    beta = -np.copysign(np.hypot(abs(alpha), xnorm), alpha.real)
-    v = np.concatenate(([1], x / (alpha - beta)))
-    return beta, (beta - alpha) / beta, v
-
-
 class RowBlockedR:
     """A tall matrix A[rows, :cols] that loses a row and gains a column at
     each step, kept as one R factor per block of BLOCK_ROWS contiguous rows.
@@ -104,7 +85,8 @@ class RowBlockedR:
     it again, with the new column, by numpy's Householder QR (LAPACK geqrf):
     nothing is downdated.  Each other block applies its Q^H to the new
     column in compact WY form, Q = I - V T V^H (Schreiber and Van Loan,
-    1989), and forms one more reflector, in O(rows * cols).  V and T come
+    1989), and forms one more reflector by numpy's QR of the column's
+    trailing part (LAPACK larfg), in O(rows * cols).  V and T come
     from a factor's reflectors and tau, T^-1 = striu(V^H V) + diag(1/tau),
     only when the block first takes a column after it; a single block loses
     a row at every step and never forms them.  stack() has the singular
@@ -174,7 +156,9 @@ class RowBlockedR:
         R[:k, c] = a[:k]
         if c < n:
             R[c, :c] = T[c, :c] = V[:c, c] = 0
-            R[c, c], tau, V[c:, c] = _reflector(a[c:])
+            # geqrf's reflector: beta = h[0, 0] is real, v = (1, h[0, 1:])
+            h, (tau,) = np.linalg.qr(a[c:, None], mode="raw")
+            R[c, c], V[c, c], V[c + 1:, c] = h[0, 0], 1, h[0, 1:]
             u = (V[c:, c].conj() @ V[c:, :c]).conj()    # V[:, :c]^H v
             T[:c, c], T[c, c] = -tau * (T[:c, :c] @ u), tau
 

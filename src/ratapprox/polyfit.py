@@ -74,7 +74,8 @@ def va_fit(samples, degree):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             q = Z * Q[:, k]
-            # modified Gram-Schmidt plus one reorthogonalization sweep
+            # block classical Gram-Schmidt, run twice (CGS2): each pass
+            # projects q against all previous columns at once
             for _ in range(2):
                 h = Q[:, : k + 1].conj().T @ q / M
                 q = q - Q[:, : k + 1] @ h

@@ -773,3 +773,15 @@ def test_one_block_weights_are_the_tall_solve_bit_for_bit(case):
         sigma_ref, w = linalg.min_singular_right_vector(L[free, :k + 1])
         assert sigma == sigma_ref
         assert snap.weights.tobytes() == w.astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [linalg.BLOCK_ROWS, 2000])
+def test_tiny_complex_columns_fit_on_two_blocks(n):
+    # exp on the disk about -700 has values near 1e-304, so the appended
+    # columns' reflectors see subnormal alpha - beta; the two-block fit
+    # converges at degree 6 as the one-block fit does, and warns of no
+    # overflow (a RuntimeWarning fails the suite)
+    s = ra.sample_function(FunctionSpec.EXP, Disk(-700 + 0j, 1.0), n)
+    assert (s.points.size > linalg.BLOCK_ROWS) == (n == 2000)
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-10, max_degree=40), s)
+    assert rep.converged and rep.model.degree == 6

@@ -152,6 +152,20 @@ def test_fit_command(tmp_path):
     assert summary["tol"] == 1e-12 and summary["converged"]
 
 
+@pytest.mark.parametrize("center", ["-690", "-700"])
+def test_fit_on_two_blocks_of_tiny_complex_values(tmp_path, center):
+    # 2000 samples make two row blocks, and exp about -700 is near 1e-304:
+    # the fit converges at degree 6 with no overflow warning, which the
+    # suite turns into an error
+    out, rpt = tmp_path / "model.json", tmp_path / "report.json"
+    rc = main(["fit", "--fn", "exp", "--domain", f"disk:{center},0,1",
+               "--samples", "2000", "--max-degree", "40", "--tol", "1e-10",
+               "--out", str(out), "--report", str(rpt)])
+    assert rc == 0
+    summary = json.loads(rpt.read_text())
+    assert summary["degree"] == 6 and summary["converged"] is True
+
+
 def test_study_command_even_degrees(tmp_path):
     out = tmp_path / "conv.csv"
     rc = main(["study", "--fn", "abs", "--domain", "interval:-1,1",

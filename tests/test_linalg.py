@@ -236,33 +236,3 @@ def test_row_blocked_r_keeps_the_smallest_singular_pair(
             bound = 64 * eps * s_ref[0]
             assert abs(s - s_ref[-1]) <= bound
             assert abs(np.linalg.norm(Ak @ v) - s_ref[-1]) <= bound
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), real=st.booleans(),
-       n=st.integers(1, 40), alpha=st.sampled_from(["any", "real", "zero"]),
-       x_zero=st.booleans(), scale=st.integers(-600, 600),
-       spread=st.booleans())
-def test_reflector_is_lapacks(seed, real, n, alpha, x_zero, scale, spread):
-    # beta, tau and v equal LAPACK's dlarfg/zlarfg to 8 ulps, entry by entry,
-    # with x = 0 at real and non-real alpha, and with the entries scaled by
-    # one 2**scale or each by its own 2**k, |k| <= 600: beyond about
-    # 2**+-512 a plain sum of squares overflows or underflows
-    from scipy.linalg import lapack
-    rng = np.random.default_rng(seed)
-    a = _draw(rng, real, n)
-    if alpha != "any":
-        a[0] = 0 if alpha == "zero" else a[0].real
-    if x_zero:
-        a[1:] = 0
-    a = a * np.ldexp(1.0, rng.integers(-600, 601, n) if spread else scale)
-    beta, tau, v = linalg._reflector(a.copy())
-    larfg = lapack.dlarfg if real else lapack.zlarfg
-    beta_ref, x_ref, tau_ref = larfg(n, a[0], a[1:].copy())
-    ulp = 8 * np.finfo(float).eps
-    assert beta_ref.imag == 0 and np.isreal(beta)
-    assert abs(beta - beta_ref) <= ulp * abs(beta_ref)
-    assert abs(tau - tau_ref) <= ulp * abs(tau_ref)
-    assert v[0] == 1 and np.all(np.abs(v[1:] - x_ref) <= ulp * np.abs(x_ref))
-    if x_zero and np.isreal(a[0]):
-        assert tau == 0 and beta == a[0]
