@@ -187,8 +187,10 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     # small allocation of a step outlives it between the large per-step
     # arrays (kept ones fragment the heap and slow the next steps)
     W = np.empty((max_degree + 1, max_degree + 1), dtype=F.dtype)
-    # first support: largest deviation from the mean, ties at lowest index
-    err = np.abs(F - F.mean())
+    # first support: largest deviation from the mean, ties at lowest index;
+    # the mean of F / scale cannot overflow, and times scale it is exact
+    scale = linalg.pow2_scale(F)
+    err = np.abs(F - (F / scale).mean() * scale)
     next_j = int(np.argmax(err))
     for k in range(max_degree + 1):
         support_idx.append(next_j)

@@ -176,8 +176,7 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     first n+1 basis columns and coefficients, and the basis is evaluated on
     the test grid once.  If that fit breaks down at basis column k, it is
     redone at the largest requested degree below k, and degrees from k on
-    get no polynomial entry; if basis column k overflows, the same refit
-    is made, and degrees from k on get an infinite error.
+    get no polynomial entry.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor", and errors that are not finite are flagged "overflow".
     """
@@ -189,12 +188,8 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     while poly_degrees and pmodel is None:
         try:
             pmodel = polyfit.va_fit(samples, poly_degrees[-1])
-        except (polyfit.ArnoldiBreakdownError,
-                polyfit.ArnoldiOverflowError) as err:
+        except polyfit.ArnoldiBreakdownError as err:
             # the basis is nested: every degree below the failure is valid
-            if isinstance(err, polyfit.ArnoldiOverflowError):
-                perr = dict.fromkeys(
-                    (n for n in poly_degrees if n >= err.step), np.inf)
             poly_degrees = [n for n in poly_degrees if n < err.step]
     # the basis can overflow on the grid at high degree: flagged "overflow"
     if pmodel is not None:

@@ -154,14 +154,14 @@ def _cheb1(n, a, b):
     """Chebyshev points of the first kind on [a, b] (endpoints excluded)."""
     k = np.arange(n)
     x = np.cos((2 * k + 1) * np.pi / (2 * n))
-    return a + (b - a) * (x[::-1] + 1) / 2
+    return a + (b - a) * ((x[::-1] + 1) / 2)
 
 
 def _cheb2(n, a, b):
     """Chebyshev points of the second kind on [a, b] (endpoints included)."""
     k = np.arange(n)
     x = np.cos(k * np.pi / (n - 1))
-    return a + (b - a) * (x[::-1] + 1) / 2
+    return a + (b - a) * ((x[::-1] + 1) / 2)
 
 
 def _cluster_radii(dom, offset):

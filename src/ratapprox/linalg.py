@@ -42,6 +42,14 @@ def _as_matrix(A):
     return A
 
 
+def pow2_scale(x):
+    """Power of two nearest max|x| on a log scale; 1 if that is 0 or inf."""
+    m = float(np.max(np.abs(x), initial=0.0))
+    if not 0 < m < math.inf:
+        return 1.0
+    return math.ldexp(1.0, min(round(math.log2(m)), 1023))
+
+
 def r_factor(A):
     """The upper-trapezoidal R of A = QR, min(m, k)-by-k.
 

@@ -7,6 +7,9 @@ construction, so the coefficients are the projections of the data onto
 it.  Evaluation at new points re-runs the stored recurrence (va_basis).
 The basis is nested in degree: one degree-N fit and basis serve every
 lower degree.
+The recurrence is homogeneous in the points, and va_fit runs it on data
+divided by exact powers of two (linalg.pow2_scale): no column norm
+overflows, and the breakdown threshold is relative to the points' scale.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
+
 
 class ArnoldiBreakdownError(RuntimeError):
     """Basis generation broke down (fewer distinct points than degree + 1)."""
@@ -22,18 +27,7 @@ class ArnoldiBreakdownError(RuntimeError):
     def __init__(self, step):
         self.step = step
         super().__init__(
-            f"Arnoldi breakdown at column {step}: subdiagonal entry below 1e-14"
-        )
-
-
-class ArnoldiOverflowError(ArithmeticError):
-    """A basis column's norm overflowed: the sample points are too large
-    for float64 at this degree."""
-
-    def __init__(self, step):
-        self.step = step
-        super().__init__(
-            f"Arnoldi overflow at column {step}: subdiagonal entry not finite"
+            f"Arnoldi breakdown at column {step}: relative subdiagonal below 1e-14"
         )
 
 
@@ -55,11 +49,15 @@ def va_fit(samples, degree):
 
     The coefficients are the projections Q^H F / M onto the basis.  A
     lower-degree fit's Hessenberg matrix is a leading block of this one,
-    and its coefficients are a prefix of these up to rounding.  Raises
-    ArnoldiBreakdownError when a basis column's norm falls below 1e-14, and
-    ArnoldiOverflowError when it is not finite.
+    and its coefficients are a prefix of these up to rounding.  The fit
+    runs on Z / s and F / t, for s and t the powers of two nearest max|Z|
+    and max|F| on a log scale (1 for all zeros), and H and the
+    coefficients are scaled back by s and t.  Raises
+    ArnoldiBreakdownError when a basis column's norm falls below 1e-14
+    relative to s.
     """
-    Z, F = samples.points, samples.values
+    s, t = (linalg.pow2_scale(x) for x in (samples.points, samples.values))
+    Z, F = samples.points / s, samples.values / t
     M = Z.size
     n = int(degree)
     if n < 0:
@@ -70,26 +68,22 @@ def va_fit(samples, degree):
     H = np.zeros((n + 1, n), dtype=complex)
     Q[:, 0] = 1.0
     root_m = np.sqrt(M)
-    # large points overflow the column norms; the check on sub reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            q = Z * Q[:, k]
-            # block classical Gram-Schmidt, run twice (CGS2): each pass
-            # projects q against all previous columns at once
-            for _ in range(2):
-                h = Q[:, : k + 1].conj().T @ q / M
-                q = q - Q[:, : k + 1] @ h
-                H[: k + 1, k] += h
-            sub = np.linalg.norm(q) / root_m
-            if not np.isfinite(sub):
-                raise ArnoldiOverflowError(k + 1)
-            if sub < 1e-14:
-                raise ArnoldiBreakdownError(k + 1)
-            H[k + 1, k] = sub
-            Q[:, k + 1] = q / sub
+    for k in range(n):
+        q = Z * Q[:, k]
+        # block classical Gram-Schmidt, run twice (CGS2): each pass
+        # projects q against all previous columns at once
+        for _ in range(2):
+            h = Q[:, : k + 1].conj().T @ q / M
+            q = q - Q[:, : k + 1] @ h
+            H[: k + 1, k] += h
+        sub = np.linalg.norm(q) / root_m
+        if sub < 1e-14:
+            raise ArnoldiBreakdownError(k + 1)
+        H[k + 1, k] = sub
+        Q[:, k + 1] = q / sub
     # Q^H Q = M I, and the breakdown guard keeps every column independent
     c = Q.conj().T @ F / M
-    return ArnoldiPolynomial(hessenberg=H, coeffs=c, degree=n)
+    return ArnoldiPolynomial(hessenberg=H * s, coeffs=c * t, degree=n)
 
 
 def va_basis(model, points):

@@ -220,20 +220,15 @@ def test_study_flags_overflowing_errors(tmp_path):
     json.loads(rpt.read_text(), parse_constant=_reject)
 
 
-def test_study_flags_an_overflowing_arnoldi_basis(tmp_path):
-    # on this interval the norm of basis column 1 overflows; it was taken
-    # for a breakdown at column 2, with a RuntimeWarning, and the study
-    # wrote no polynomial row
-    out, rpt = tmp_path / "conv.csv", tmp_path / "report.json"
-    rc = main(["study", "--fn", "abs", "--domain", "interval:-1e300,1e300",
-               "--degrees", "4:2:20", "--out", str(out), "--report", str(rpt)])
+def test_study_on_a_tiny_disk_fits_every_polynomial_degree(tmp_path):
+    # radius 2^-50: an absolute breakdown threshold of 1e-14 stopped the
+    # polynomial fit at basis column 1, so only degree 0 had a row
+    out = tmp_path / "conv.csv"
+    rc = main(["study", "--fn", "exp", "--domain", "disk:0,0,8.881784197001252e-16",
+               "--degrees", "0:4:40", "--out", str(out)])
     assert rc == 0
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
-    assert ([(int(n), e, flag) for n, method, e, flag in rows
-             if method == "polynomial"]
-            == [(n, "inf", "overflow") for n in range(4, 21, 2)])
-    assert [int(r[0]) for r in rows if r[1] == "rational"] == list(range(4, 21, 2))
-    json.loads(rpt.read_text(), parse_constant=_reject)
+    assert [int(r[0]) for r in rows if r[1] == "polynomial"] == list(range(0, 41, 4))
 
 
 def test_study_rejects_negative_degrees(tmp_path, capsys):
@@ -762,11 +757,19 @@ def test_no_command_loads_scipy(run_python, tmp_path, commands, degree):
         assert load_model(str(tmp_path / "model.json")).degree == degree
 
 
-@pytest.mark.parametrize("bound", ["1e153", "1e155", "1e160"])
+@pytest.mark.parametrize("bound", ["1e153", "1e155", "1e160", "1e300", "1e306",
+                                   "1e307"])
 def test_study_at_a_large_scale_warns_nothing(run_python, tmp_path, bound):
     # the pole solve's Newton step overflowed here with a RuntimeWarning,
-    # which -W error turned into a traceback; a non-finite step is set to 0
+    # which -W error turned into a traceback; a non-finite step is set to 0.
+    # Arnoldi column norms overflowed from 1e153 on, which gave inf
+    # polynomial errors, and at 1e307 the mean of f overflowed in aaa_fit
+    out = tmp_path / "conv.csv"
     proc = run_python("-W", "error", "-m", "ratapprox", "study", "--fn", "abs",
                       "--domain", f"interval:-{bound},{bound}", "--degrees",
-                      "4:2:8", "--out", str(tmp_path / "conv.csv"))
+                      "4:2:20", "--out", str(out))
     assert proc.returncode == 0 and proc.stderr == ""
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert ([(int(n), bool(np.isfinite(float(e))), flag)
+             for n, method, e, flag in rows if method == "polynomial"]
+            == [(n, True, "ok") for n in range(4, 21, 2)])

@@ -62,6 +62,18 @@ def test_interval_boundary_symmetric():
     assert np.max(np.abs(np.sort(pts) + np.sort(pts)[::-1])) < 1e-13
 
 
+@pytest.mark.parametrize("sampler, m", [(boundary_samples, 500),
+                                        (eval_grid, 4000)])
+def test_interval_sampling_spans_a_width_beyond_float_max(sampler, m):
+    # b - a = 1.6e308 is finite, but (b - a) * (x + 1) reached 3.2e308 in
+    # the Chebyshev map and overflowed with a RuntimeWarning
+    dom = Interval(-8e307, 8e307)
+    pts = sampler(dom, m)
+    assert pts.size == m and np.unique(pts).size == m
+    assert np.all(np.isfinite(pts)) and np.all(pts.imag == 0)
+    assert pts.real.min() >= dom.a and pts.real.max() <= dom.b
+
+
 def test_interval_grid_reaches_tiny_magnitudes():
     pts = eval_grid(Interval(-1.0, 1.0), 1001).real
     assert np.min(np.abs(pts[pts != 0])) < 1e-12

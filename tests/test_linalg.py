@@ -51,6 +51,16 @@ def test_min_singular_matches_thin_svd(k, rows_per_col):
     assert abs(abs(np.vdot(v, Vh[-1].conj())) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("x, scale", [
+    ([0.0], 1.0), ([], 1.0), ([np.inf], 1.0),
+    ([1.4, -0.5], 1.0), ([1.5j], 2.0), ([3.0, 0.0], 4.0),
+    ([np.finfo(float).max], 2.0 ** 1023), ([5e-324], 5e-324),
+])
+def test_pow2_scale_is_the_nearest_power_of_two_on_a_log_scale(x, scale):
+    # 1.4 < sqrt(2) < 1.5; the top binade clamps to 2^1023, which is finite
+    assert linalg.pow2_scale(np.array(x)) == scale
+
+
 def test_eigenvalues_examples():
     ev = linalg.eigenvalues(np.diag([2.0, 3.0]))
     assert np.allclose(sorted(ev.real), [2.0, 3.0], atol=1e-12)

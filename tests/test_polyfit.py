@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ratapprox import polyfit
 from ratapprox.geometry import Disk, SampleSet, test_grid as eval_grid
@@ -52,6 +55,27 @@ def test_breakdown_on_too_few_distinct_points():
     with pytest.raises(ArnoldiBreakdownError) as exc:
         va_fit(SampleSet(near, np.exp(near)), 5)
     assert exc.value.step >= 1
+
+
+_CIRCLE_300 = circle(300)
+_EXP_40 = va_fit(SampleSet(_CIRCLE_300, np.exp(_CIRCLE_300)), 40)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(-300, 300))
+@example(k=-600)
+@example(k=-50)
+@example(k=900)
+@example(k=1000)
+def test_fit_to_points_scaled_by_a_power_of_two_is_exact(k):
+    # the recurrence is homogeneous in the points; at 2^-600 and 2^-50 the
+    # absolute breakdown test fired, and from 2^900 a column norm overflowed
+    scale = math.ldexp(1.0, k)
+    scaled = scale * _CIRCLE_300
+    m = va_fit(SampleSet(scaled, np.exp(_CIRCLE_300)), 40)
+    assert np.array_equal(m.coeffs, _EXP_40.coeffs)
+    assert np.array_equal(m.hessenberg, scale * _EXP_40.hessenberg)
+    assert np.array_equal(va_eval(m, scaled), va_eval(_EXP_40, _CIRCLE_300))
 
 
 def test_orthonormality_degree_100():
