@@ -36,6 +36,10 @@ evaluated, in complex arithmetic either way.
 evaluate_prefixes evaluates the models of a trajectory, whose supports are
 prefixes of the last model's, from one difference matrix z - z_k per point
 set; evaluate is its one-model case.
+
+The greedy, cleanup and evaluate divide the values, and residues the
+pole-to-support differences, by an exact power of two near the values' or
+supports' largest modulus (linalg.pow2_scale), and scale back exactly.
 """
 
 from __future__ import annotations
@@ -143,10 +147,12 @@ def evaluate_prefixes(models, z):
         buf = np.empty_like(D)
         for row, m in zip(out, models):
             k = m.supports.size
+            t = linalg.pow2_scale(m.values)
             C = np.divide(m.weights, D[:, :k], out=buf[:, :k])
-            num = C @ m.values
+            num = C @ (m.values / t)
             den = C.sum(axis=1)
             np.divide(num, den, out=row)
+            row.view(float)[:] *= t  # exact, and keeps signed zeros and infs
             row[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
             own = hit_cols < k
             row[hit_rows[own]] = m.values[hit_cols[own]]
@@ -172,6 +178,8 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         raise ValueError("max_degree must be nonnegative")
     max_degree = min(max_degree, Z.size // 2 - 1)
     fscale = float(np.max(np.abs(F)))
+    t = linalg.pow2_scale(F)
+    Ft = F / t
     support_idx = []
     history = []
     sigma_min = []
@@ -180,34 +188,31 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     # blocks, column c for the c-th support; a fit that stops early never
     # touches the memory of the columns it does not reach
     L = linalg.RowBlockedR(
-        lambda rows, cols: _loewner(Z, F, rows, support_idx[cols]),
+        lambda rows, cols: _loewner(Z, Ft, rows, support_idx[cols]),
         Z.size, max_degree + 1, F.dtype)
     # row k: the weights of step k, its first k + 1 entries.  The snapshot
     # models are built from it after the loop, not one per step, so that no
     # small allocation of a step outlives it between the large per-step
     # arrays (kept ones fragment the heap and slow the next steps)
     W = np.empty((max_degree + 1, max_degree + 1), dtype=F.dtype)
-    # first support: largest deviation from the mean, ties at lowest index;
-    # the mean of F / scale cannot overflow, and times scale it is exact
-    scale = linalg.pow2_scale(F)
-    err = np.abs(F - (F / scale).mean() * scale)
-    next_j = int(np.argmax(err))
+    # first support: largest deviation from the mean, ties at lowest index
+    next_j = int(np.argmax(np.abs(Ft - Ft.mean())))
     for k in range(max_degree + 1):
         support_idx.append(next_j)
         L.step(next_j)
         rows = L.rows()
         sigma, w = linalg.min_singular_right_vector(L.stack())
-        sigma_min.append(sigma)
+        sigma_min.append(sigma * t)
         W[k, :k + 1] = w
         cols = np.asarray(support_idx, dtype=int)
         with np.errstate(all="ignore"):
             C = Z[rows, None] - Z[None, cols]
             np.divide(1.0, C, out=C)
-            rvals = (C @ (w * F[cols])) / (C @ w)
+            rvals = (C @ (w * Ft[cols])) / (C @ w)
         del C  # free it before the next step's solve, the memory peak
-        resid = np.abs(F[rows] - rvals)
+        resid = np.abs(Ft[rows] - rvals)
         resid = np.where(np.isfinite(resid), resid, np.inf)
-        max_err = float(resid.max())
+        max_err = float(resid.max()) * t
         history.append((k, max_err))
         converged = max_err <= tol * fscale
         if converged:
@@ -286,20 +291,14 @@ def zeros(r):
 
 
 def residues(r, pole_list):
-    """Residues of r at the given (simple) poles, as N(p)/D'(p)."""
-    p = np.asarray(pole_list, dtype=complex)
-    if p.size == 0:
-        return np.empty(0, dtype=complex)
-    D = p[:, None] - r.supports[None, :]
-    scale = max(np.max(np.abs(r.supports)), 1.0)
+    """Residues of r at the given (simple) poles, as N(p)/D'(p); NaN at a
+    pole exactly on a support, such as the one a zero weight leaves."""
+    s = linalg.pow2_scale(r.supports)
+    D = np.subtract.outer(np.divide(pole_list, s), r.supports / s)
     with np.errstate(all="ignore"):
         N = (r.weights[None, :] * r.values[None, :] / D).sum(axis=1)
         Dp = -(r.weights[None, :] / (D * D)).sum(axis=1)
-        res = N / Dp
-    # a pole colliding with a support signals a spurious pair
-    near_support = np.min(np.abs(D), axis=1) < 1e-13 * scale
-    res[near_support] = 0.0
-    return res
+        return N / Dp * s
 
 
 def cleanup(report, samples):
@@ -307,24 +306,25 @@ def cleanup(report, samples):
     model of an aaa_fit report on the same samples.
 
     A pole is spurious if its |residue| is below 1e-13 * max|values| *
-    diameter(samples).  Each round drops the support nearest every
-    spurious pole at once and re-solves the weights, until a model has no
-    spurious pole.  The Loewner matrix of the samples free before cleanup
-    is QR-factored once, in the first round, and R is never updated: a
-    round solves the kept columns of R stacked over the dropped supports'
-    Loewner rows, which has the singular values and right singular vectors
-    of the free samples' Loewner matrix over the kept supports.  When a
-    round leaves no spurious pole, the weights are solved once more from
-    the Loewner matrix of the free samples on the final supports, and the
-    check is repeated on that fresh model.  The returned report carries the
-    cleaned model, the number of dropped supports, its max error over the
-    non-support samples as final_error, and converged re-judged on that
-    error against the report's tol.  History and snapshots stay the greedy
-    run's.
+    diameter(samples) or is NaN, as at a pole on a support.  Each round
+    drops the support nearest every spurious pole at once and re-solves the
+    weights, until a model has no spurious pole.  The Loewner matrix of the
+    samples free before cleanup is QR-factored once, in the first round, and
+    R is never updated: a round solves the kept columns of R stacked over
+    the dropped supports' Loewner rows, which has the singular values and
+    right singular vectors of the free samples' Loewner matrix over the kept
+    supports.  When a round leaves no spurious pole, the weights are solved
+    once more from the Loewner matrix of the free samples on the final
+    supports, and the check is repeated on that fresh model.  The returned
+    report carries the cleaned model, the number of dropped supports, its
+    max error over the non-support samples as final_error, and converged
+    re-judged on that error against the report's tol.  History and snapshots
+    stay the greedy run's.
     """
     Z, F = _real_if_exact(samples.points, samples.values)
     fscale = float(np.max(np.abs(F)))
     thresh = 1e-13 * fscale * _diameter(Z)
+    Ft = F / linalg.pow2_scale(F)
     model = report.model
     cols = np.array([np.flatnonzero(Z == s)[0] for s in model.supports])
     keep = np.ones(cols.size, dtype=bool)
@@ -334,17 +334,17 @@ def cleanup(report, samples):
     spurious = _spurious_poles(model, thresh)
     while spurious.size:
         if R is None:
-            R = linalg.r_factor(_loewner(Z, F, free, cols))
+            R = linalg.r_factor(_loewner(Z, Ft, free, cols))
         nearest = np.argmin(np.abs(spurious[:, None] - model.supports), axis=1)
         keep[np.flatnonzero(keep)[nearest]] = False
         _, w = linalg.min_singular_right_vector(
-            np.vstack([R[:, keep], _loewner(Z, F, cols[~keep], cols[keep])]))
+            np.vstack([R[:, keep], _loewner(Z, Ft, cols[~keep], cols[keep])]))
         model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
         spurious = _spurious_poles(model, thresh)
         if not spurious.size:
             free[cols[~keep]] = True
             _, w = linalg.min_singular_right_vector(
-                _loewner(Z, F, free, cols[keep]))
+                _loewner(Z, Ft, free, cols[keep]))
             model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
             spurious = _spurious_poles(model, thresh)
     final_error = _max_error(model, samples)
@@ -355,18 +355,16 @@ def cleanup(report, samples):
 
 
 def _spurious_poles(model, thresh):
-    """The poles of model whose |residue| is below thresh."""
+    """The poles of model whose |residue| is below thresh or NaN (a pole
+    on a support): the one rule that judges a pole spurious."""
     p = model.pole_list
-    return p[np.abs(residues(model, p)) < thresh]
+    return p[~(np.abs(residues(model, p)) >= thresh)]
 
 
 def _max_error(model, samples):
     mask = ~np.isin(samples.points, model.supports)
-    if not mask.any():
-        return 0.0
-    pred = evaluate(model, samples.points[mask])
-    err = np.abs(samples.values[mask] - pred)
-    return float(np.max(np.where(np.isfinite(err), err, np.inf)))
+    err = np.abs(samples.values[mask] - evaluate(model, samples.points[mask]))
+    return float(np.max(np.where(np.isfinite(err), err, np.inf), initial=0))
 
 
 def _diameter(points):

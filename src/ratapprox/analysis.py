@@ -1,7 +1,7 @@
 """Convergence-study harness: degree sweeps, sup-error estimates, and
 classification of the observed decay regime.
 
-degree_sweep and sup_error_on take samples, a greedy trajectory and test
+degree_sweep and sup_errors_on take samples, a greedy trajectory and test
 values (grid_values) from their caller: a figure builds each once, and
 convergence_study and estimate_sup_error build their own.  The test values
 build f on the interior grid on first use, at most once per figure or
@@ -127,10 +127,11 @@ def sup_errors_on(models, tests):
     """The SupError on tests, a GridValues, of each of models: rational
     models, each one's supports a prefix of the last one's.
 
-    A model with a pole (its pole_list) inside or within 1e-9 of the domain
-    is flagged, and its error is the larger of the sups over the test grid
-    and over the interior grid.  One aaa.evaluate_prefixes call evaluates
-    every model on the test grid, and one the flagged ones on the interior.
+    A model with a pole (its pole_list) inside the domain, or within 1e-9
+    of its size (geometry.contains), is flagged, and its error is the
+    larger of the sups over the test grid and over the interior grid.  One
+    aaa.evaluate_prefixes call evaluates every model on the test grid, and
+    one the flagged ones on the interior.
     """
     if not models:
         return []
@@ -149,17 +150,13 @@ def sup_errors_on(models, tests):
     return [SupError(s, flag) for s, flag in zip(sups, flags)]
 
 
-def sup_error_on(approximant, tests):
-    """Sup of |f - approximant| over tests, a GridValues; for a rational
-    approximant, sup_errors_on of it alone."""
+def estimate_sup_error(f, approximant, domain):
+    """The SupError of approximant on the grid_values of f on domain, built
+    for this call; a rational approximant's comes from sup_errors_on."""
+    tests = grid_values(f, domain)
     if isinstance(approximant, BarycentricRational):
         return sup_errors_on([approximant], tests)[0]
     return SupError(_sup(tests.values - approximant(tests.grid)), False)
-
-
-def estimate_sup_error(f, approximant, domain):
-    """sup_error_on the grid_values of f on domain, built for this call."""
-    return sup_error_on(approximant, grid_values(f, domain))
 
 
 def degree_sweep(degrees, tol_floor, samples, trajectory, tests):

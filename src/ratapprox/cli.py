@@ -342,7 +342,7 @@ def run_figure(figure_id, out_dir):
     model = report.model
     pole_list = model.pole_list
     tests = analysis.grid_values(preset.fn, preset.domain)
-    sup = analysis.sup_error_on(model, tests)
+    sup = analysis.sup_errors_on([model], tests)[0]
     record = analysis.degree_sweep(preset.degrees, analysis.TOL_FLOOR,
                                    samples, trajectory, tests)
 

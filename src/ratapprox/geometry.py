@@ -259,20 +259,24 @@ def test_grid(domain, m):
 
 
 def contains(domain, z, tol=1e-9):
-    """Whether point(s) z lie in the closed domain, within tolerance tol."""
+    """Whether point(s) z lie in the closed domain, within tol times its
+    size: a disk's radius, half an interval's length, or a horseshoe's
+    outer radius (and its opening angle within tol radians)."""
     zv = np.atleast_1d(np.asarray(z, dtype=complex))
     if isinstance(domain, Disk):
-        inside = np.abs(zv - domain.center) <= domain.radius + tol
+        inside = np.abs(zv - domain.center) <= domain.radius * (1 + tol)
     elif isinstance(domain, Interval):
-        inside = (np.abs(zv.imag) <= tol) & (zv.real >= domain.a - tol) \
-            & (zv.real <= domain.b + tol)
+        d = tol * (domain.b / 2 - domain.a / 2)
+        inside = (np.abs(zv.imag) <= d) & (zv.real >= domain.a - d) \
+            & (zv.real <= domain.b + d)
     elif isinstance(domain, Horseshoe):
-        r_ok = (np.abs(zv) >= domain.inner_radius - tol) \
-            & (np.abs(zv) <= domain.outer_radius + tol)
+        d = tol * domain.outer_radius
+        r_ok = (np.abs(zv) >= domain.inner_radius - d) \
+            & (np.abs(zv) <= domain.outer_radius + d)
         ang_ok = np.abs(np.angle(zv)) >= domain.opening_half_angle - tol
         c_plus, c_minus = domain.cap_centers
-        in_cap = (np.abs(zv - c_plus) < domain.cap_radius - tol) \
-            | (np.abs(zv - c_minus) < domain.cap_radius - tol)
+        in_cap = (np.abs(zv - c_plus) < domain.cap_radius - d) \
+            | (np.abs(zv - c_minus) < domain.cap_radius - d)
         inside = r_ok & ang_ok & ~in_cap
     else:
         raise ValueError(f"unknown domain {domain!r}")

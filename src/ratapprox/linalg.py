@@ -200,19 +200,19 @@ def arrowhead_eigenvalues(supports, first_row):
     N(x) = prod_k (x - z_k) * sum_k c_k/(x - z_k), which are the roots of
     the sum and the supports whose c_k is 0.
 
-    A root counts as finite if |x| < 1e13.  Both infinite eigenvalues of
-    the pencil are deflated exactly.  The Householder reflector H with
-    H 1 = -sqrt(m) e_1 makes it equivalent to the m-by-m pencil
-    (A, B = diag(0, 1, ..., 1)), where A is H diag(z) H with c^T H for its
-    first row; there is no division by sum(c).  At a shift s, (A - s B)^-1 B
-    has a zero first column, for the other infinite eigenvalue, and numpy's
-    eigvals of the rest gives the 1 / (x - s).  Newton steps on N, two in
-    complex128 and one in extended precision (numpy.clongdouble), polish
-    the roots; unlike steps on the sum, they keep a root at a support whose
-    c_k is 0.  Real z and c get a real shift, so their complex roots come
-    in exactly conjugate pairs; one root of each pair is polished, and the
-    other is its conjugate.  For m >= 2, c = 0 (a singular pencil) raises
-    numpy.linalg.LinAlgError.
+    A root counts as finite if |x - z0| < 1e13 max|z - z0|, z0 = mean(z).
+    Both infinite eigenvalues of the pencil are deflated exactly.  The
+    Householder reflector H with H 1 = -sqrt(m) e_1 makes it equivalent to
+    the m-by-m pencil (A, B = diag(0, 1, ..., 1)), where A is H diag(z) H
+    with c^T H for its first row; there is no division by sum(c).  At a
+    shift s, (A - s B)^-1 B has a zero first column, for the other infinite
+    eigenvalue, and numpy's eigvals of the rest gives the 1 / (x - s).
+    Newton steps on N, two in complex128 and one in extended precision
+    (numpy.clongdouble), polish the roots; unlike steps on the sum, they
+    keep a root at a support whose c_k is 0.  Real z and c get a real
+    shift, so their complex roots come in exactly conjugate pairs; one root
+    of each pair is polished, and the other is its conjugate.  For m >= 2,
+    c = 0 (a singular pencil) raises numpy.linalg.LinAlgError.
     """
     z = np.asarray(supports)
     c = np.asarray(first_row)
@@ -249,6 +249,6 @@ def arrowhead_eigenvalues(supports, first_row):
             step = g / (g * inv.sum(axis=1) - (inv * inv) @ c)
             step[~np.isfinite(step)] = 0.0
             x = (x - step).astype(complex, copy=False)
-    if real:
-        x = np.concatenate([x, x[upper].conj()])
-    return _sort_eigs(x[np.abs(x) < 1e13])
+        if real:
+            x = np.concatenate([x, x[upper].conj()])
+        return _sort_eigs(x[np.abs(x - center) / radius < 1e13])

@@ -1,4 +1,6 @@
 import functools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -785,3 +787,99 @@ def test_tiny_complex_columns_fit_on_two_blocks(n):
     assert (s.points.size > linalg.BLOCK_ROWS) == (n == 2000)
     rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-10, max_degree=40), s)
     assert rep.converged and rep.model.degree == 6
+
+
+_COPY_CASES = {
+    "abs": (FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 500, 1e-8),
+    "exp": (FunctionSpec.EXP, Disk(0j, 1.0), 300, 1e-13),
+    "sqrtneg": (FunctionSpec.SQRT_NEG, Horseshoe(), 600, 1e-13),
+}
+
+
+@functools.cache
+def _scaled_copy_fit(case, k):
+    """The cleaned fit of a case on points times 2^k and values times
+    2^-floor(k/2), and those samples."""
+    fn, domain, m, tol = _COPY_CASES[case]
+    s = ra.sample_function(fn, domain, m)
+    s = SampleSet(math.ldexp(1.0, k) * s.points,
+                  math.ldexp(1.0, -(k // 2)) * s.values)
+    return s, aaa.cleanup(aaa.aaa_fit(s, tol=tol, max_degree=60), s)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.integers(-300, 300))
+@example(k=-300)
+@example(k=-100)
+@example(k=100)
+@example(k=300)
+def test_fit_to_a_power_of_two_scaled_copy_is_the_same_fit(k):
+    # the greedy runs on values divided by a power of two, and the residue
+    # rule of cleanup and the finite-root test of the pole solve are
+    # relative, so a copy scaled by powers of two is fitted and cleaned as
+    # the original: from 2^-100 down, an absolute near-support cut made
+    # every residue 0 and cleanup removed every support, and from 2^100 up
+    # an absolute |x| < 1e13 test found no pole.  The errors and weights
+    # scale exactly.  The poles do not: the pencil's first row, the
+    # weights, is not scaled with the supports, so they agree to 1e-10
+    # relative (9.96e-12 at worst, on exp)
+    fscale = math.ldexp(1.0, -(k // 2))
+    for case in _COPY_CASES:
+        _, ref = _scaled_copy_fit(case, 0)
+        _, rep = _scaled_copy_fit(case, k)
+        assert rep.model.degree == ref.model.degree >= 1
+        assert rep.cleanup_removed == ref.cleanup_removed
+        assert rep.converged == ref.converged
+        assert rep.history == tuple((d, e * fscale) for d, e in ref.history)
+        assert rep.final_error == ref.final_error * fscale
+        assert np.array_equal(rep.model.weights, ref.model.weights)
+        p0 = ref.model.pole_list
+        p = rep.model.pole_list / math.ldexp(1.0, k)
+        assert p.size == p0.size == ref.model.degree
+        dist = np.abs(p[:, None] - p0[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert np.all(dist[rows, cols] <= 1e-10 * np.abs(p0[cols]))
+
+
+@pytest.mark.parametrize("k", [-900, -600, 600, 900])
+def test_fit_to_a_far_scaled_copy_keeps_its_supports(k):
+    # beyond 2^512 the residues' squared pole-to-support differences under-
+    # or overflow unless they are scaled first, every residue is then NaN,
+    # and cleanup removes the supports; at 2^900 evaluate's w f / (z - z_k)
+    # does unless the values are.  The weights are not bit-identical here,
+    # as LAPACK rescales a Loewner matrix whose entries are that small or
+    # large
+    fscale = math.ldexp(1.0, -(k // 2))
+    for case in _COPY_CASES:
+        _, ref = _scaled_copy_fit(case, 0)
+        _, rep = _scaled_copy_fit(case, k)
+        assert rep.model.degree == ref.model.degree >= 1
+        assert rep.cleanup_removed == ref.cleanup_removed
+        assert rep.converged == ref.converged
+        # at rounding level, as exp's is, the errors differ by up to 35%
+        assert rep.final_error <= 10 * ref.final_error * fscale
+        p = rep.model.pole_list
+        assert p.size == rep.model.degree
+        assert np.all(np.isfinite(aaa.residues(rep.model, p)))
+
+
+def test_cleanup_removes_the_support_of_a_zero_weight():
+    # a zero weight leaves a root of the denominator's numerator, a pole,
+    # exactly on its support, where the residue is NaN; cleanup counts it
+    # spurious, drops that support, and the error returns to the fit's
+    # scale (1.26 with the zero weight, 1.1e-12 after cleanup)
+    s = ra.sample_function(FunctionSpec.EXP, Disk(0j, 1.0), 300)
+    fit = aaa.aaa_fit(s, tol=1e-13, max_degree=60)
+    m = fit.model
+    w = m.weights.copy()
+    w[3] = 0.0
+    broken = aaa.BarycentricRational(m.supports, m.values, w)
+    p = broken.pole_list
+    on_support = p == m.supports[3]
+    assert np.count_nonzero(on_support) == 1
+    assert np.isnan(aaa.residues(broken, p)[on_support]).all()
+    assert aaa._max_error(broken, s) > 1.0
+    rep = aaa.cleanup(replace(fit, model=broken), s)
+    assert rep.cleanup_removed == 1
+    assert m.supports[3] not in rep.model.supports
+    assert rep.final_error <= 1e-11 * np.max(np.abs(s.values))

@@ -497,7 +497,7 @@ def test_fit_not_converged_when_cleanup_misses_tol(tmp_path):
 
 
 def _per_snapshot_sup_error(f, model, domain, grid, fv):
-    """sup_error_on of one rational model, as it was computed one model at a
+    """sup_errors_on of one rational model, as it was computed one model at a
     time: the error on the test grid, and if a pole is in the domain the
     larger of that and the error on a fresh interior grid."""
     def sup(err):
@@ -758,12 +758,15 @@ def test_no_command_loads_scipy(run_python, tmp_path, commands, degree):
 
 
 @pytest.mark.parametrize("bound", ["1e153", "1e155", "1e160", "1e300", "1e306",
-                                   "1e307"])
+                                   "1e307", "8e307"])
 def test_study_at_a_large_scale_warns_nothing(run_python, tmp_path, bound):
     # the pole solve's Newton step overflowed here with a RuntimeWarning,
     # which -W error turned into a traceback; a non-finite step is set to 0.
     # Arnoldi column norms overflowed from 1e153 on, which gave inf
-    # polynomial errors, and at 1e307 the mean of f overflowed in aaa_fit
+    # polynomial errors, at 1e307 the mean of f overflowed in aaa_fit, and
+    # at 8e307 its residual did, before the greedy ran on scaled values.
+    # The rational rows are not checked: at 8e307 degrees 12-20 read inf,
+    # since w / (z - z_k) is subnormal for the farthest supports there
     out = tmp_path / "conv.csv"
     proc = run_python("-W", "error", "-m", "ratapprox", "study", "--fn", "abs",
                       "--domain", f"interval:-{bound},{bound}", "--degrees",
@@ -773,3 +776,40 @@ def test_study_at_a_large_scale_warns_nothing(run_python, tmp_path, bound):
     assert ([(int(n), bool(np.isfinite(float(e))), flag)
              for n, method, e, flag in rows if method == "polynomial"]
             == [(n, True, "ok") for n in range(4, 21, 2)])
+
+
+@pytest.mark.parametrize("bound", ["1e-200", "1e-30", "1e30", "1e200"])
+def test_fit_at_a_far_scale_keeps_its_poles(run_python, tmp_path, bound):
+    # at 1e-30 cleanup's absolute near-support cut set every residue to 0
+    # and removed every support (degree 0); from 1e30 up the pole solve's
+    # absolute |x| < 1e13 test found no pole, and cleanup judged none.
+    # At 1e-200 and 1e200 the residues' squared pole-to-support differences
+    # under- or overflow unless they are scaled first; then every residue
+    # is NaN, and cleanup removes nearly every support
+    out, rpt = tmp_path / "model.json", tmp_path / "report.json"
+    proc = run_python("-W", "error", "-m", "ratapprox", "fit", "--fn", "abs",
+                      "--domain", f"interval:-{bound},{bound}", "--samples",
+                      "500", "--max-degree", "60", "--tol", "1e-8", "--out",
+                      str(out), "--report", str(rpt))
+    assert proc.returncode == 0 and proc.stderr == ""
+    summary = json.loads(rpt.read_text())
+    model = load_model(str(out))
+    assert model.degree == summary["degree"] >= 1
+    assert model.pole_list.size == model.degree
+    assert summary["converged"]
+    assert summary["sample_error"] <= 1e-8 * float(bound)
+
+
+def test_study_flags_a_pole_in_a_large_domain(tmp_path):
+    # the pole-in-domain test is relative to the domain's size; with an
+    # absolute 1e-9 the study on +-1e150 flagged degree 4 ok, though its
+    # error is 386 times max|f|, while on [-1, 1] it is flagged.  The
+    # samples there are no scaled copy of [-1, 1]'s (the cluster radii are
+    # absolute), so only degree 4 is checked
+    out = tmp_path / "conv.csv"
+    rc = main(["study", "--fn", "abs", "--domain", "interval:-1e150,1e150",
+               "--degrees", "4:4:20", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [flag for n, method, _, flag in rows
+            if method == "rational" and n == "4"] == ["pole-in-domain"]
