@@ -12,8 +12,13 @@ support's row is factored again at once from its raw Loewner rows,
 recomputed from the samples with the new column, so nothing is
 downdated.  The singular pair comes from linalg.min_singular_right_vector
 on the blocks' R factors, stacked; on at most BLOCK_ROWS samples that is
-the SVD of the R of the Loewner matrix itself.  The report carries the
-whole trajectory: the error, sigma_min and model of every step.
+the SVD of the R of the Loewner matrix itself.  The error of a step comes
+from a C-ordered cache of the Cauchy matrix 1 / (Z - z_c) over all
+samples, one column per support, into which each step writes only its new
+column.  The cache grows _CAUCHY_GROWTH columns at a time: when it is
+full, it is freed and a wider one is filled again from the supports, so
+memory follows the columns a fit reaches.  The report carries the whole
+trajectory: the error, sigma_min and model of every step.
 
 Removing spurious pole-zero pairs with negligible residue is a separate
 step, cleanup, which the caller applies to the model it returns.  In
@@ -40,6 +45,8 @@ set; evaluate is its one-model case.
 The greedy, cleanup and evaluate divide the values, and residues the
 pole-to-support differences, by an exact power of two near the values' or
 supports' largest modulus (linalg.pow2_scale), and scale back exactly.
+Cleanup compares residues and its threshold in units of the values' and
+the points' powers of two, so that neither overflows.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
+
+# the columns aaa_fit's Cauchy cache grows by when it runs out
+_CAUCHY_GROWTH = 16
 
 
 @dataclass(frozen=True)
@@ -130,9 +140,10 @@ def evaluate_prefixes(models, z):
     Each model's supports must be a prefix of the last model's, as along a
     greedy trajectory; raises ValueError otherwise.  The differences to the
     last model's supports and their exact zeros (support hits) are computed
-    once.  Each model divides its weights by the leading columns into one
-    C-ordered buffer, whose row-strided view gives the matrix-vector
-    product the bits of a contiguous copy's.
+    once.  Each model but the last divides its weights by the leading
+    columns into one C-ordered buffer, whose row-strided view gives the
+    matrix-vector product the bits of a contiguous copy's; the last
+    divides them into the differences in place.
     """
     last = models[-1].supports
     for m in models:
@@ -144,11 +155,13 @@ def evaluate_prefixes(models, z):
     with np.errstate(all="ignore"):
         D = zv[:, None] - last[None, :]
         hit_rows, hit_cols = np.nonzero(D == 0)
-        buf = np.empty_like(D)
-        for row, m in zip(out, models):
+        width = max((m.supports.size for m in models[:-1]), default=0)
+        buf = np.empty((zv.size, width), dtype=complex)
+        for i, (row, m) in enumerate(zip(out, models)):
             k = m.supports.size
             t = linalg.pow2_scale(m.values)
-            C = np.divide(m.weights, D[:, :k], out=buf[:, :k])
+            C = np.divide(m.weights, D[:, :k],
+                          out=D if i == len(models) - 1 else buf[:, :k])
             num = C @ (m.values / t)
             den = C.sum(axis=1)
             np.divide(num, den, out=row)
@@ -170,6 +183,13 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     report carries the last step's model and error, and the error,
     sigma_min and model of every step.  Pass it to cleanup before
     returning its model to a user.
+
+    Each step divides one new Cauchy column 1 / (Z - Z[j]) into a cache of
+    M rows, and takes the error over the non-support rows of two
+    matrix-vector products on the cache's first degree + 1 columns: the
+    bits of building the whole Cauchy matrix of those rows anew.  A full
+    cache is freed before a wider one, by _CAUCHY_GROWTH columns and at
+    most max_degree + 1, is refilled, so no copy of it is ever alive.
     """
     Z, F = _real_if_exact(samples.points, samples.values)
     if tol <= 0:
@@ -190,6 +210,9 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     L = linalg.RowBlockedR(
         lambda rows, cols: _loewner(Z, Ft, rows, support_idx[cols]),
         Z.size, max_degree + 1, F.dtype)
+    # the Cauchy cache, column c for the c-th support; a fit that stops
+    # early never touches the pages of the columns it does not reach
+    cache = np.empty((Z.size, 0), dtype=Z.dtype)
     # row k: the weights of step k, its first k + 1 entries.  The snapshot
     # models are built from it after the loop, not one per step, so that no
     # small allocation of a step outlives it between the large per-step
@@ -206,10 +229,20 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         W[k, :k + 1] = w
         cols = np.asarray(support_idx, dtype=int)
         with np.errstate(all="ignore"):
-            C = Z[rows, None] - Z[None, cols]
-            np.divide(1.0, C, out=C)
-            rvals = (C @ (w * Ft[cols])) / (C @ w)
-        del C  # free it before the next step's solve, the memory peak
+            if k == cache.shape[1]:
+                # out of columns: free the cache before a wider one is
+                # filled again, so that no copy of the old one is alive
+                cache = None
+                cache = np.empty(
+                    (Z.size, min(k + _CAUCHY_GROWTH, max_degree + 1)), Z.dtype)
+                np.subtract(Z[:, None], Z[cols[:k]], out=cache[:, :k])
+                np.divide(1.0, cache[:, :k], out=cache[:, :k])
+            np.divide(1.0, Z - Z[next_j], out=cache[:, k])
+            # a strided view of a C-ordered array gives each row's
+            # matrix-vector product the bits of a contiguous copy's
+            C = cache[:, :k + 1]
+            rvals = ((C @ (w * Ft[cols])) / (C @ w))[rows]
+        del C  # no view may keep a freed cache alive
         resid = np.abs(Ft[rows] - rvals)
         resid = np.where(np.isfinite(resid), resid, np.inf)
         max_err = float(resid.max()) * t
@@ -294,11 +327,18 @@ def residues(r, pole_list):
     """Residues of r at the given (simple) poles, as N(p)/D'(p); NaN at a
     pole exactly on a support, such as the one a zero weight leaves."""
     s = linalg.pow2_scale(r.supports)
+    return _scaled_residues(r, pole_list, 1.0, s) * s
+
+
+def _scaled_residues(r, pole_list, t, s):
+    """residues(r, pole_list) / (t * s) for powers of two t and s, from the
+    values divided by t and the pole-to-support differences by s, so that
+    neither N nor D' over- or underflows."""
     D = np.subtract.outer(np.divide(pole_list, s), r.supports / s)
     with np.errstate(all="ignore"):
-        N = (r.weights[None, :] * r.values[None, :] / D).sum(axis=1)
+        N = (r.weights[None, :] * (r.values / t)[None, :] / D).sum(axis=1)
         Dp = -(r.weights[None, :] / (D * D)).sum(axis=1)
-        return N / Dp * s
+        return N / Dp
 
 
 def cleanup(report, samples):
@@ -306,7 +346,9 @@ def cleanup(report, samples):
     model of an aaa_fit report on the same samples.
 
     A pole is spurious if its |residue| is below 1e-13 * max|values| *
-    diameter(samples) or is NaN, as at a pole on a support.  Each round
+    diameter(samples) or is NaN, as at a pole on a support.  Both sides are
+    compared divided by t * s, for the powers of two t = pow2_scale(values)
+    and s = pow2_scale(points), so that neither overflows.  Each round
     drops the support nearest every spurious pole at once and re-solves the
     weights, until a model has no spurious pole.  The Loewner matrix of the
     samples free before cleanup is QR-factored once, in the first round, and
@@ -323,15 +365,17 @@ def cleanup(report, samples):
     """
     Z, F = _real_if_exact(samples.points, samples.values)
     fscale = float(np.max(np.abs(F)))
-    thresh = 1e-13 * fscale * _diameter(Z)
-    Ft = F / linalg.pow2_scale(F)
+    # residues and the threshold in units of t * s, which neither overflows
+    t, s = linalg.pow2_scale(F), linalg.pow2_scale(Z)
+    thresh = 1e-13 * (fscale / t) * _diameter(Z / s)
+    Ft = F / t
     model = report.model
-    cols = np.array([np.flatnonzero(Z == s)[0] for s in model.supports])
+    cols = np.array([np.flatnonzero(Z == z)[0] for z in model.supports])
     keep = np.ones(cols.size, dtype=bool)
     free = np.ones(Z.size, dtype=bool)
     free[cols] = False
     R = None
-    spurious = _spurious_poles(model, thresh)
+    spurious = _spurious_poles(model, thresh, t, s)
     while spurious.size:
         if R is None:
             R = linalg.r_factor(_loewner(Z, Ft, free, cols))
@@ -340,13 +384,13 @@ def cleanup(report, samples):
         _, w = linalg.min_singular_right_vector(
             np.vstack([R[:, keep], _loewner(Z, Ft, cols[~keep], cols[keep])]))
         model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
-        spurious = _spurious_poles(model, thresh)
+        spurious = _spurious_poles(model, thresh, t, s)
         if not spurious.size:
             free[cols[~keep]] = True
             _, w = linalg.min_singular_right_vector(
                 _loewner(Z, Ft, free, cols[keep]))
             model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
-            spurious = _spurious_poles(model, thresh)
+            spurious = _spurious_poles(model, thresh, t, s)
     final_error = _max_error(model, samples)
     return replace(
         report, model=model, cleanup_removed=int(np.count_nonzero(~keep)),
@@ -354,11 +398,11 @@ def cleanup(report, samples):
     )
 
 
-def _spurious_poles(model, thresh):
-    """The poles of model whose |residue| is below thresh or NaN (a pole
-    on a support): the one rule that judges a pole spurious."""
+def _spurious_poles(model, thresh, t, s):
+    """The poles of model whose |residue| / (t * s) is below thresh or NaN
+    (a pole on a support): the one rule that judges a pole spurious."""
     p = model.pole_list
-    return p[~(np.abs(residues(model, p)) >= thresh)]
+    return p[~(np.abs(_scaled_residues(model, p, t, s)) >= thresh)]
 
 
 def _max_error(model, samples):

@@ -425,6 +425,60 @@ def test_truncate_rejects_a_short_trajectory():
         aaa.truncate(full, s, 1e-14, 80)
 
 
+def _rebuild_fit(samples, tol, max_degree):
+    """aaa_fit with the Cauchy matrix 1 / (Z[rows] - Z[cols]) of the
+    non-support samples built anew at every step: (history, sigma_min,
+    each step's weights)."""
+    Z, F = aaa._real_if_exact(samples.points, samples.values)
+    max_degree = min(max_degree, Z.size // 2 - 1)
+    fscale = float(np.max(np.abs(F)))
+    t = linalg.pow2_scale(F)
+    Ft = F / t
+    support_idx, history, sigma_min, weights = [], [], [], []
+    L = linalg.RowBlockedR(
+        lambda rows, cols: aaa._loewner(Z, Ft, rows, support_idx[cols]),
+        Z.size, max_degree + 1, F.dtype)
+    j = int(np.argmax(np.abs(Ft - Ft.mean())))
+    for k in range(max_degree + 1):
+        support_idx.append(j)
+        L.step(j)
+        rows = L.rows()
+        sigma, w = linalg.min_singular_right_vector(L.stack())
+        sigma_min.append(sigma * t)
+        weights.append(w.astype(complex))
+        cols = np.asarray(support_idx, dtype=int)
+        with np.errstate(all="ignore"):
+            C = 1.0 / (Z[rows, None] - Z[None, cols])
+            resid = np.abs(Ft[rows] - (C @ (w * Ft[cols])) / (C @ w))
+        resid = np.where(np.isfinite(resid), resid, np.inf)
+        history.append((k, float(resid.max()) * t))
+        if history[-1][1] <= tol * fscale:
+            break
+        j = int(rows[np.argmax(resid)])
+    return tuple(history), tuple(sigma_min), weights
+
+
+@pytest.mark.parametrize("case, m", [("exp-disk", 500), ("abs-interval", 500),
+                                     ("sqrtneg-horseshoe", 500),
+                                     ("sqrtneg-horseshoe", 2000)])
+def test_cauchy_cache_matches_a_per_step_rebuild_bit_for_bit(case, m):
+    # aaa_fit writes one Cauchy column per step into a cache that it frees
+    # and refills wider when it runs out; the errors, sigma_min and weights
+    # are those of building the whole matrix at every step.  The abs and
+    # sqrtneg fits run past two growths of the cache (to degrees 60 and
+    # 33), and exp converges at degree 7 on the first.  The 2000 complex
+    # samples span two row blocks
+    s = ra.sample_function(*_PREFIX_CASES[case], m)
+    rep = aaa.aaa_fit(s, tol=1e-13, max_degree=60)
+    history, sigma_min, weights = _rebuild_fit(s, 1e-13, 60)
+    assert (len(weights) > 2 * aaa._CAUCHY_GROWTH) == (case != "exp-disk")
+    assert rep.history == history
+    assert rep.sigma_min == sigma_min
+    assert len(rep.snapshots) == len(weights)
+    for snap, w in zip(rep.snapshots, weights):
+        assert snap.weights.tobytes() == w.tobytes()
+
+
 def _abs_interval_samples():
     # the samples of figure 5: real points and real values
     return ra.sample_function(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 500)
@@ -861,6 +915,23 @@ def test_fit_to_a_far_scaled_copy_keeps_its_supports(k):
         p = rep.model.pole_list
         assert p.size == rep.model.degree
         assert np.all(np.isfinite(aaa.residues(rep.model, p)))
+
+
+@pytest.mark.parametrize("k", [-665, -600, 600, 665])
+def test_cleanup_judges_a_copy_with_points_and_values_far_scaled(k):
+    # points and values both times 2^k: max|f| * diam(samples) and the
+    # residues, value times length, pass the float range, so cleanup judged
+    # no pole spurious (0 removals against 10 at k = 0) until it compared
+    # both in units of pow2_scale(values) * pow2_scale(points)
+    _, ref = _scaled_copy_fit("abs", 0)
+    fn, domain, m, tol = _COPY_CASES["abs"]
+    s = ra.sample_function(fn, domain, m)
+    c = math.ldexp(1.0, k)
+    s = SampleSet(c * s.points, c * s.values)
+    rep = aaa.cleanup(aaa.aaa_fit(s, tol=tol, max_degree=60), s)
+    assert rep.cleanup_removed == ref.cleanup_removed == 10
+    assert rep.model.degree == ref.model.degree
+    assert rep.converged == ref.converged
 
 
 def test_cleanup_removes_the_support_of_a_zero_weight():

@@ -785,7 +785,10 @@ def test_fit_at_a_far_scale_keeps_its_poles(run_python, tmp_path, bound):
     # absolute |x| < 1e13 test found no pole, and cleanup judged none.
     # At 1e-200 and 1e200 the residues' squared pole-to-support differences
     # under- or overflow unless they are scaled first; then every residue
-    # is NaN, and cleanup removes nearly every support
+    # is NaN, and cleanup removes nearly every support.  At 1e200 max|f| *
+    # diam(samples) is about 4e400: cleanup's threshold and every residue
+    # were inf, and inf >= inf kept every pole, until both were compared in
+    # units of pow2_scale(values) * pow2_scale(points)
     out, rpt = tmp_path / "model.json", tmp_path / "report.json"
     proc = run_python("-W", "error", "-m", "ratapprox", "fit", "--fn", "abs",
                       "--domain", f"interval:-{bound},{bound}", "--samples",
@@ -798,6 +801,7 @@ def test_fit_at_a_far_scale_keeps_its_poles(run_python, tmp_path, bound):
     assert model.pole_list.size == model.degree
     assert summary["converged"]
     assert summary["sample_error"] <= 1e-8 * float(bound)
+    assert summary["cleanup_removed"] == (bound in ("1e30", "1e200"))
 
 
 def test_study_flags_a_pole_in_a_large_domain(tmp_path):
