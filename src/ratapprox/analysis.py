@@ -3,16 +3,14 @@ classification of the observed decay regime.
 
 degree_sweep and sup_errors_on take samples, a greedy trajectory and test
 values (grid_values) from their caller: a figure builds each once, and
-convergence_study and estimate_sup_error build their own.  The test values
-build f on the interior grid on first use, at most once per figure or
-study, and a sweep measures its rational entries in one
-aaa.evaluate_prefixes call per point set."""
+convergence_study and estimate_sup_error build their own.  A sweep
+measures its rational entries in one aaa.evaluate_prefixes call on the
+test grid; an entry with a pole in the closed domain reads inf."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +40,8 @@ class Entry:
     degree: int
     method: Method
     error: float
-    # "ok" | "floor" | "pole-in-domain" | "overflow" (error not finite)
+    # "ok" | "floor" | "overflow" (error not finite) | "pole-in-domain"
+    # (a pole in the closed domain, error inf)
     flag: str = "ok"
 
 
@@ -74,22 +73,13 @@ class RateClass:
 
 @dataclass(frozen=True, eq=False)
 class GridValues:
-    """f on the domain's test grid (grid, values), and, on first use, on
-    its interior grid (interior)."""
+    """f (fn) on the domain's test grid: the points (grid) and f there
+    (values)."""
 
     fn: FunctionSpec
     domain: object
     grid: np.ndarray
     values: np.ndarray
-
-    @cached_property
-    def interior(self):
-        """The interior grid's points where f is finite, and f there: the
-        points scanned when a rational model has a pole in the domain."""
-        points = geometry.interior_grid(self.domain)
-        fi = geometry.eval_function(self.fn, points)
-        ok = np.isfinite(fi.real) & np.isfinite(fi.imag)
-        return points[ok], fi[ok]
 
 
 def grid_values(f, domain):
@@ -127,27 +117,19 @@ def sup_errors_on(models, tests):
     """The SupError on tests, a GridValues, of each of models: rational
     models, each one's supports a prefix of the last one's.
 
-    A model with a pole (its pole_list) inside the domain, or within 1e-9
-    of its size (geometry.contains), is flagged, and its error is the
-    larger of the sups over the test grid and over the interior grid.  One
-    aaa.evaluate_prefixes call evaluates every model on the test grid, and
-    one the flagged ones on the interior.
+    A model with a pole (its pole_list) in the closed domain, exactly
+    (geometry.contains), is flagged, and its error is inf: r is unbounded
+    there, so that is its true sup.  Every other model's error is its sup
+    over the test grid, from one aaa.evaluate_prefixes call for all models.
     """
     if not models:
         return []
-    flags = [bool(np.any(geometry.contains(tests.domain, m.pole_list,
-                                           tol=1e-9))) for m in models]
+    flags = [bool(np.any(geometry.contains(tests.domain, m.pole_list)))
+             for m in models]
     sups = [_sup(tests.values - r)
             for r in aaa_mod.evaluate_prefixes(models, tests.grid)]
-    flagged = [i for i, flag in enumerate(flags) if flag]
-    if flagged:
-        points, fi = tests.interior
-        if points.size:
-            rows = aaa_mod.evaluate_prefixes([models[i] for i in flagged],
-                                             points)
-            for i, r in zip(flagged, rows):
-                sups[i] = max(sups[i], _sup(fi - r))
-    return [SupError(s, flag) for s, flag in zip(sups, flags)]
+    return [SupError(np.inf if flag else s, flag)
+            for s, flag in zip(sups, flags)]
 
 
 def estimate_sup_error(f, approximant, domain):
@@ -175,7 +157,9 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     redone at the largest requested degree below k, and degrees from k on
     get no polynomial entry.
     Errors below tol_floor relative to max|values| are kept but flagged
-    "floor", and errors that are not finite are flagged "overflow".
+    "floor", and errors that are not finite are flagged "overflow".  A
+    rational entry with a pole in the closed domain is flagged
+    "pole-in-domain" instead, and its error is inf.
     """
     degrees = _checked_degrees(degrees)
     floor = tol_floor * float(np.max(np.abs(samples.values)))

@@ -258,53 +258,23 @@ def test_grid(domain, m):
     return _trace(domain, m, 0.5, 64, "test points")
 
 
-def contains(domain, z, tol=1e-9):
-    """Whether point(s) z lie in the closed domain, within tol times its
-    size: a disk's radius, half an interval's length, or a horseshoe's
-    outer radius (and its opening angle within tol radians)."""
+def contains(domain, z):
+    """Whether point(s) z lie in the closed domain, exactly, with no
+    tolerance: an interval holds only real points of [a, b], and a
+    horseshoe's caps are open disks cut out of the annular sector."""
     zv = np.atleast_1d(np.asarray(z, dtype=complex))
     if isinstance(domain, Disk):
-        inside = np.abs(zv - domain.center) <= domain.radius * (1 + tol)
+        inside = np.abs(zv - domain.center) <= domain.radius
     elif isinstance(domain, Interval):
-        d = tol * (domain.b / 2 - domain.a / 2)
-        inside = (np.abs(zv.imag) <= d) & (zv.real >= domain.a - d) \
-            & (zv.real <= domain.b + d)
+        inside = (zv.imag == 0) & (zv.real >= domain.a) & (zv.real <= domain.b)
     elif isinstance(domain, Horseshoe):
-        d = tol * domain.outer_radius
-        r_ok = (np.abs(zv) >= domain.inner_radius - d) \
-            & (np.abs(zv) <= domain.outer_radius + d)
-        ang_ok = np.abs(np.angle(zv)) >= domain.opening_half_angle - tol
+        r_ok = (np.abs(zv) >= domain.inner_radius) \
+            & (np.abs(zv) <= domain.outer_radius)
+        ang_ok = np.abs(np.angle(zv)) >= domain.opening_half_angle
         c_plus, c_minus = domain.cap_centers
-        in_cap = (np.abs(zv - c_plus) < domain.cap_radius - d) \
-            | (np.abs(zv - c_minus) < domain.cap_radius - d)
+        in_cap = (np.abs(zv - c_plus) < domain.cap_radius) \
+            | (np.abs(zv - c_minus) < domain.cap_radius)
         inside = r_ok & ang_ok & ~in_cap
     else:
         raise ValueError(f"unknown domain {domain!r}")
     return bool(inside[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else inside
-
-
-# the point budget of interior_grid; the count it returns depends on the domain
-INTERIOR_POINTS = 2000
-
-
-def interior_grid(domain):
-    """A scattered set of interior points, used when a rational model has a
-    pole suspiciously close to the domain."""
-    if isinstance(domain, Disk):
-        n_r = max(4, int(np.sqrt(INTERIOR_POINTS / np.pi)))
-        pts = []
-        for i in range(1, n_r + 1):
-            rad = domain.radius * i / (n_r + 1)
-            n_t = max(8, int(2 * np.pi * rad / domain.radius * n_r))
-            theta = 2 * np.pi * (np.arange(n_t) + 0.25) / n_t
-            pts.append(domain.center + rad * np.exp(1j * theta))
-        return np.concatenate(pts)
-    if isinstance(domain, Interval):
-        return _interval_points(domain, INTERIOR_POINTS, offset=0.25)
-    if isinstance(domain, Horseshoe):
-        n = int(np.sqrt(INTERIOR_POINTS)) + 1
-        rr = np.linspace(domain.inner_radius, domain.outer_radius, n)
-        tt = np.linspace(-np.pi, np.pi, 2 * n, endpoint=False)
-        zz = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
-        return zz[contains(domain, zz, tol=-1e-6)]
-    raise ValueError(f"unknown domain {domain!r}")

@@ -27,7 +27,7 @@ class PoleNearContourError(RuntimeError):
     def __init__(self, pole, radius):
         self.pole = pole
         super().__init__(
-            f"pole {pole} lies within 1e-8 of the contour; "
+            f"pole {pole} lies within 1e-8 times the radius of the contour; "
             f"choose a radius different from {radius}"
         )
 
@@ -146,7 +146,8 @@ def walsh_error(contour, f_on_contour, r, z):
     """Contour-integral estimate of f(z) - r(z) for a rational interpolant.
 
     Trapezoid rule on the circle; requires z and all supports of r strictly
-    inside the contour and f analytic on and inside it.  The accumulation
+    inside the contour, no pole of r within 1e-8 times its radius of it
+    (PoleNearContourError), and f analytic on and inside it.  The accumulation
     runs in extended precision: the integrand oscillates and cancels by
     many orders of magnitude, and double-precision roundoff would dominate
     the tiny result.
@@ -165,7 +166,7 @@ def walsh_error(contour, f_on_contour, r, z):
         raise ValueError("all supports of r must lie strictly inside the contour")
     pl = r.pole_list
     dist = np.abs(np.abs(pl - c) - rho) if pl.size else np.empty(0)
-    if pl.size and dist.min() < 1e-8:
+    if pl.size and dist.min() < 1e-8 * rho:
         raise PoleNearContourError(complex(pl[np.argmin(dist)]), rho)
 
     ext = np.clongdouble

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ratapprox as ra
-from ratapprox import aaa, analysis, polyfit
+from ratapprox import aaa, analysis, geometry, polyfit
 from ratapprox.analysis import (
     ConvergenceRecord,
     Entry,
@@ -11,7 +11,7 @@ from ratapprox.analysis import (
     convergence_study,
     estimate_sup_error,
 )
-from ratapprox.geometry import Disk, FunctionSpec, Interval, SampleSet
+from ratapprox.geometry import Disk, FunctionSpec, Horseshoe, Interval, SampleSet
 
 
 def synthetic_record(errors, degrees=None):
@@ -46,17 +46,40 @@ def test_sup_error_degree0_absval():
     assert 0.25 <= sup.value <= 1.0
 
 
+def _model_with_pole(pole, supports):
+    """A degree-1 model with its one pole at pole: the weights w_k =
+    (z_k - pole) / (z_k - z_j) make the denominator 1 / (z - z_0)(z - z_1)
+    times z - pole."""
+    z0, z1 = supports
+    return aaa.BarycentricRational(
+        np.array([z0, z1], dtype=complex), np.array([1.0, 2.0], dtype=complex),
+        np.array([(z0 - pole) / (z0 - z1), (z1 - pole) / (z1 - z0)],
+                 dtype=complex))
+
+
 def test_sup_error_flags_pole_in_domain():
-    # a hand-built model with a pole at the origin
-    m = aaa.BarycentricRational(
-        np.array([1.0 + 0j, -1.0 + 0j, 1j]),
-        np.array([1.0 + 0j, 1.0 + 0j, -1.0 + 0j]),
-        np.array([1.0 + 0j, 1.0 + 0j, 1.0 + 0j]),
-    )
-    p = aaa.poles(m)
-    if np.any(np.abs(p) < 1.0):
-        sup = estimate_sup_error(FunctionSpec.EXP, m, Disk(0j, 1.0))
-        assert sup.pole_in_domain
+    # on each domain kind, a pole in the closed domain is flagged and its
+    # error is inf; one 1e-12 of the domain's size outside (flagged by a
+    # 1e-9 tolerance) and a far one (on the horseshoe, +1 on the excluded
+    # ray) are not, and their errors are the finite grid sups
+    cases = [
+        (FunctionSpec.EXP, Disk(0j, 1.0), (-0.5, 0.25), (0.0, 1 + 1e-12, 3.0)),
+        (FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), (-0.5, 0.25),
+         (0.5, 1 + 1e-12, 3.0)),
+        (FunctionSpec.SQRT_NEG, Horseshoe(), (-0.75, -1.25),
+         (-1.0, -1.5 * (1 + 1e-12), 1.0)),
+    ]
+    for fn, domain, supports, poles in cases:
+        inside, near, far = (_model_with_pole(p, supports) for p in poles)
+        for m, p in zip((inside, near, far), poles):
+            assert m.pole_list.tolist() == [pytest.approx(p, rel=1e-14,
+                                                          abs=1e-14)]
+        assert geometry.contains(domain, inside.pole_list).all()
+        assert not geometry.contains(domain, near.pole_list).any()
+        assert estimate_sup_error(fn, inside, domain) == (np.inf, True)
+        for m in (near, far):
+            sup = estimate_sup_error(fn, m, domain)
+            assert not sup.pole_in_domain and np.isfinite(sup.value), domain
 
 
 def test_classify_exponential():

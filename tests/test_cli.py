@@ -206,7 +206,9 @@ def test_study_survives_arnoldi_breakdown(tmp_path):
 
 def test_study_flags_overflowing_errors(tmp_path):
     # the polynomial basis regenerated on the test grid overflows at high
-    # degree (inf from 176 on); an infinite error must not count as ok
+    # degree (inf from 176 on); an infinite error must not count as ok.
+    # Rational rows with a real pole in [-1, 1] read inf too, flagged
+    # pole-in-domain
     out, rpt = tmp_path / "conv.csv", tmp_path / "report.json"
     # the overflow is flagged, not warned about
     rc = main(["study", "--fn", "abs", "--domain", "interval:-1,1",
@@ -216,7 +218,10 @@ def test_study_flags_overflowing_errors(tmp_path):
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     assert any(r[3] == "overflow" for r in rows)
     for *_, error, flag in rows:
-        assert (flag == "overflow") == (not np.isfinite(float(error)))
+        if flag == "overflow":
+            assert not np.isfinite(float(error))
+        if not np.isfinite(float(error)):
+            assert flag not in ("ok", "floor")
     json.loads(rpt.read_text(), parse_constant=_reject)
 
 
@@ -496,32 +501,21 @@ def test_fit_not_converged_when_cleanup_misses_tol(tmp_path):
     assert summary["converged"] is False
 
 
-def _per_snapshot_sup_error(f, model, domain, grid, fv):
-    """sup_errors_on of one rational model, as it was computed one model at a
-    time: the error on the test grid, and if a pole is in the domain the
-    larger of that and the error on a fresh interior grid."""
-    def sup(err):
-        err = np.abs(err)
-        return float(np.max(np.where(np.isfinite(err), err, np.inf)))
-
-    flagged = bool(np.any(geometry.contains(domain, model.pole_list,
-                                            tol=1e-9)))
-    value = sup(fv - aaa.evaluate(model, grid))
-    if flagged:
-        interior = geometry.interior_grid(domain)
-        fi = geometry.eval_function(f, interior)
-        ok = np.isfinite(fi.real) & np.isfinite(fi.imag)
-        if np.any(ok):
-            value = max(value, sup(fi[ok] - aaa.evaluate(model, interior[ok])))
-    return value, flagged
+def _per_snapshot_sup_error(model, domain, grid, fv):
+    """sup_errors_on of one rational model, computed on its own: inf if a
+    pole lies in the closed domain, else the error on the test grid."""
+    if np.any(geometry.contains(domain, model.pole_list)):
+        return np.inf, True
+    err = np.abs(fv - aaa.evaluate(model, grid))
+    return float(np.max(np.where(np.isfinite(err), err, np.inf))), False
 
 
 @pytest.mark.parametrize("case", ["fig5", "abs-study"])
 def test_sweep_measures_each_point_set_once(case, monkeypatch):
     # figure 5's sweep and the 500-sample abs study flag many snapshots
     # pole-in-domain; their rational entries are the one-model-at-a-time
-    # errors bit for bit, from one interior grid and one evaluate_prefixes
-    # call per point set
+    # errors bit for bit (inf where flagged), from one evaluate_prefixes
+    # call on the test grid
     if case == "fig5":
         preset = cli.PRESETS[5]
         fn, domain, degrees = preset.fn, preset.domain, list(preset.degrees)
@@ -544,20 +538,22 @@ def test_sweep_measures_each_point_set_once(case, monkeypatch):
         def sweep():
             return analysis.convergence_study(fn, domain, degrees)
     tests = analysis.grid_values(fn, domain)
-    ref = {m.degree: _per_snapshot_sup_error(fn, m, domain, tests.grid,
+    ref = {m.degree: _per_snapshot_sup_error(m, domain, tests.grid,
                                              tests.values)
            for m in trajectory.snapshots if m.degree in degrees}
     assert sum(flagged for _, flagged in ref.values()) > 1
+    assert not all(flagged for _, flagged in ref.values())
 
-    calls = {"interior_grid": 0, "evaluate_prefixes": 0}
-    for module, name in ((geometry, "interior_grid"),
-                         (aaa, "evaluate_prefixes")):
-        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counting)
+    calls = []
+    evaluate_prefixes = aaa.evaluate_prefixes
+
+    def counting(models, z):
+        calls.append(len(models))
+        return evaluate_prefixes(models, z)
+
+    monkeypatch.setattr(aaa, "evaluate_prefixes", counting)
     record = sweep()
-    assert calls == {"interior_grid": 1, "evaluate_prefixes": 2}
+    assert calls == [len(ref)]
     got = {e.degree: (e.error, e.flag == "pole-in-domain")
            for e in record.for_method(analysis.Method.RATIONAL)}
     assert got.keys() == ref.keys()
@@ -574,8 +570,7 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
     # removes supports; 6: preset max_degree below the study's degree cap,
     # and with max_degree 20 the preset fit stops there, short of the degree
     # the study's fit converges at.  With max_degree 8, figure 5's returned
-    # model has a pole in the domain, as have swept snapshots: both are
-    # measured on one interior grid
+    # model has a real pole in the domain, as have swept snapshots
     preset = cli.PRESETS[figure_id]
     if max_degree is not None:
         preset = dataclasses.replace(preset, max_degree=max_degree)
@@ -598,14 +593,13 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
     if max_degree is not None:
         assert not ref.converged and ref.history[-1][0] == max_degree
 
-    # the figure samples f once, builds one test grid and at most one
-    # interior grid, and solves the returned model's poles once in all: in
-    # cleanup's last check, for the report, the plot, the sup error and,
-    # when it is a swept snapshot, the sweep
-    calls = {"aaa_fit": 0, "sample_function": 0, "test_grid": 0,
-             "interior_grid": 0}
+    # the figure samples f once, builds one test grid, and solves the
+    # returned model's poles once in all: in cleanup's last check, for the
+    # report, the plot, the sup error and, when it is a swept snapshot, the
+    # sweep
+    calls = {"aaa_fit": 0, "sample_function": 0, "test_grid": 0}
     for module, name in ((aaa, "aaa_fit"), (geometry, "sample_function"),
-                         (geometry, "test_grid"), (geometry, "interior_grid")):
+                         (geometry, "test_grid")):
         def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -625,7 +619,6 @@ def test_figure_runs_one_greedy_fit(figure_id, max_degree, tmp_path,
     monkeypatch.setattr(aaa, "poles", recording_poles)
     monkeypatch.setattr(aaa, "cleanup", recording_cleanup)
     cli.run_figure(figure_id, str(tmp_path / "fig"))
-    assert calls.pop("interior_grid") == (figure_id == 5)
     assert calls == {"aaa_fit": 1, "sample_function": 1, "test_grid": 1}
     assert len(final) == 1
     assert sum(r is final[0] for r in solved) == 1
@@ -765,8 +758,10 @@ def test_study_at_a_large_scale_warns_nothing(run_python, tmp_path, bound):
     # Arnoldi column norms overflowed from 1e153 on, which gave inf
     # polynomial errors, at 1e307 the mean of f overflowed in aaa_fit, and
     # at 8e307 its residual did, before the greedy ran on scaled values.
-    # The rational rows are not checked: at 8e307 degrees 12-20 read inf,
-    # since w / (z - z_k) is subnormal for the farthest supports there
+    # A rational row reads inf exactly when a real pole lies in the
+    # interval, its true sup: at 8e307 degrees 4, 6 and 10-20, whatever
+    # evaluate's terms w / (z - z_k), subnormal for the farthest supports,
+    # give on the test grid
     out = tmp_path / "conv.csv"
     proc = run_python("-W", "error", "-m", "ratapprox", "study", "--fn", "abs",
                       "--domain", f"interval:-{bound},{bound}", "--degrees",
@@ -776,6 +771,13 @@ def test_study_at_a_large_scale_warns_nothing(run_python, tmp_path, bound):
     assert ([(int(n), bool(np.isfinite(float(e))), flag)
              for n, method, e, flag in rows if method == "polynomial"]
             == [(n, True, "ok") for n in range(4, 21, 2)])
+    rational = [(int(n), float(e), flag)
+                for n, method, e, flag in rows if method == "rational"]
+    assert [n for n, _, _ in rational] == list(range(4, 21, 2))
+    for n, error, flag in rational:
+        assert (error == np.inf) == (flag == "pole-in-domain"), n
+    if bound == "8e307":
+        assert [n for n, error, _ in rational if error < np.inf] == [8]
 
 
 @pytest.mark.parametrize("bound", ["1e-200", "1e-30", "1e30", "1e200"])

@@ -169,3 +169,17 @@ def test_contains():
     assert geometry.contains(dom, -1.0 + 0j)
     assert not geometry.contains(dom, 1.0 + 0j)      # on the excluded ray
     assert not geometry.contains(dom, 0.2 + 0j)      # inside the hole
+
+
+def test_contains_is_exact_on_the_boundary():
+    # the closed domain and nothing more: no tolerance around it
+    above = np.nextafter(1.0, 2.0)
+    assert geometry.contains(Disk(0j, 1.0), 1.0 + 0j)
+    assert not geometry.contains(Disk(0j, 1.0), above + 0j)
+    assert geometry.contains(Interval(-1, 1), 1.0 + 0j)
+    assert not geometry.contains(Interval(-1, 1), above + 0j)
+    assert not geometry.contains(Interval(-1, 1), 0.3 + 1e-300j)
+    dom = Horseshoe()
+    assert geometry.contains(dom, -1.5 + 0j)
+    assert not geometry.contains(dom, -1.5 * above + 0j)
+    assert not geometry.contains(dom, -np.nextafter(0.5, 0.0) + 0j)

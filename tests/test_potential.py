@@ -244,6 +244,23 @@ def test_walsh_doubling_stability(exp_disk_fit):
     assert abs(ests[1] - ests[0]) <= 1e-16
 
 
+@pytest.mark.parametrize("k", [-40, 40])
+def test_walsh_on_a_scaled_copy_matches_scale_one(exp_disk_samples,
+                                                   exp_disk_fit, k):
+    # the pole-to-contour test is relative to the radius: with an absolute
+    # 1e-8, the copy scaled by 2^-40 raised PoleNearContourError, though
+    # its nearest pole lies 6.7 * 2^-40 from the contour of radius 2 * 2^-40
+    scale = 2.0 ** k
+    s = SampleSet(exp_disk_samples.points * scale, exp_disk_samples.values)
+    m = ra.cleanup(ra.aaa_fit(s, tol=1e-12, max_degree=150), s).model
+    assert m.degree == exp_disk_fit.model.degree
+    c, cs = ContourSpec(0j, 2.0, 256), ContourSpec(0j, 2.0 * scale, 256)
+    fc = np.exp(c.points())
+    for z in (0.3 + 0.2j, -0.4 + 0.1j, 0.6j):
+        ref = walsh_error(c, fc, exp_disk_fit.model, z)
+        assert abs(walsh_error(cs, fc, m, z * scale) - ref) <= 1e-17
+
+
 def test_walsh_preconditions(exp_disk_fit):
     m = exp_disk_fit.model
     c = ContourSpec(0j, 2.0, 256)
