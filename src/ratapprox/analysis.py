@@ -18,7 +18,6 @@ import numpy as np
 from . import aaa as aaa_mod
 from . import geometry, polyfit
 from .aaa import BarycentricRational
-from .geometry import FunctionSpec
 
 
 # the default tol_floor of a study, and the one of every figure
@@ -47,8 +46,6 @@ class Entry:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    fn: FunctionSpec
-    domain: object
     entries: tuple
 
     def for_method(self, method):
@@ -73,10 +70,8 @@ class RateClass:
 
 @dataclass(frozen=True, eq=False)
 class GridValues:
-    """f (fn) on the domain's test grid: the points (grid) and f there
-    (values)."""
+    """f on the domain's test grid: the points (grid) and f there (values)."""
 
-    fn: FunctionSpec
     domain: object
     grid: np.ndarray
     values: np.ndarray
@@ -89,7 +84,7 @@ def grid_values(f, domain):
     fv = geometry.eval_function(f, grid)
     if not np.all(np.isfinite(fv.real) & np.isfinite(fv.imag)):
         raise ValueError("f is non-finite on the test grid")
-    return GridValues(f, domain, grid, fv)
+    return GridValues(domain, grid, fv)
 
 
 def _sup(err):
@@ -150,12 +145,12 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     Rational entries are trajectory's snapshots, the model of each greedy
     step before any cleanup, re-measured by sup_errors_on, all in one call;
     degrees the run does not reach get no rational entry.  Polynomial
-    entries come from one fit at the largest requested degree the samples
-    allow, samples - 1: the Arnoldi basis is nested, so degree n uses the
-    first n+1 basis columns and coefficients, and the basis is evaluated on
-    the test grid once.  If that fit breaks down at basis column k, it is
-    redone at the largest requested degree below k, and degrees from k on
-    get no polynomial entry.
+    entries come from one va_fit at the largest requested degree the
+    samples allow, samples - 1: the Arnoldi basis is nested, so degree n
+    uses the first n+1 basis columns and coefficients, and the basis is
+    evaluated on the test grid once.  The fit stops at the last degree its
+    points determine, and degrees above the fit's degree get no polynomial
+    entry.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor", and errors that are not finite are flagged "overflow".  A
     rational entry with a pole in the closed domain is flagged
@@ -165,15 +160,11 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     floor = tol_floor * float(np.max(np.abs(samples.values)))
     poly_degrees = [n for n in degrees if samples.points.size >= n + 1]
     perr = {}
-    pmodel = None
-    while poly_degrees and pmodel is None:
-        try:
-            pmodel = polyfit.va_fit(samples, poly_degrees[-1])
-        except polyfit.ArnoldiBreakdownError as err:
-            # the basis is nested: every degree below the failure is valid
-            poly_degrees = [n for n in poly_degrees if n < err.step]
+    if poly_degrees:
+        pmodel = polyfit.va_fit(samples, poly_degrees[-1])
+        poly_degrees = [n for n in poly_degrees if n <= pmodel.degree]
     # the basis can overflow on the grid at high degree: flagged "overflow"
-    if pmodel is not None:
+    if poly_degrees:
         with np.errstate(over="ignore", invalid="ignore"):
             W = polyfit.va_basis(pmodel, tests.grid)
             for n in poly_degrees:
@@ -190,8 +181,7 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     entries += [Entry(n, Method.POLYNOMIAL, e, _flag(e, floor))
                 for n, e in perr.items()]
     entries.sort(key=lambda e: (e.degree, e.method.value))
-    return ConvergenceRecord(fn=tests.fn, domain=tests.domain,
-                             entries=tuple(entries))
+    return ConvergenceRecord(tuple(entries))
 
 
 def convergence_study(f, domain, degrees, tol_floor=TOL_FLOOR, n_samples=500):

@@ -200,6 +200,8 @@ def arrowhead_eigenvalues(supports, first_row):
     N(x) = prod_k (x - z_k) * sum_k c_k/(x - z_k), which are the roots of
     the sum and the supports whose c_k is 0.
 
+    The solve runs on z / pow2_scale(z): a copy 2^k z gives the roots
+    times 2^k bit for bit, and supports below 2^-1074 of the largest merge.
     A root counts as finite if |x - z0| < 1e13 max|z - z0|, z0 = mean(z).
     Both infinite eigenvalues of the pencil are deflated exactly.  The
     Householder reflector H with H 1 = -sqrt(m) e_1 makes it equivalent to
@@ -222,6 +224,8 @@ def arrowhead_eigenvalues(supports, first_row):
                          f"got shapes {z.shape} and {c.shape}")
     if m < 2:
         return np.empty(0, dtype=complex)
+    scale = pow2_scale(z)
+    z = z / scale
     # the shift need only not be a root: a point off the center of the
     # supports' disk, since symmetric data often have a root at the center
     center = z.sum() / m
@@ -251,4 +255,4 @@ def arrowhead_eigenvalues(supports, first_row):
             x = (x - step).astype(complex, copy=False)
         if real:
             x = np.concatenate([x, x[upper].conj()])
-        return _sort_eigs(x[np.abs(x - center) / radius < 1e13])
+        return _sort_eigs(x[np.abs(x - center) / radius < 1e13]) * scale

@@ -6,7 +6,7 @@ ill-conditioning of raw Vandermonde matrices.  The basis is orthonormal by
 construction, so the coefficients are the projections of the data onto
 it.  Evaluation at new points re-runs the stored recurrence (va_basis).
 The basis is nested in degree: one degree-N fit and basis serve every
-lower degree.
+lower degree, and a fit stops at the last column its points determine.
 The recurrence is homogeneous in the points, and va_fit runs it on data
 divided by exact powers of two (linalg.pow2_scale): no column norm
 overflows, and the breakdown threshold is relative to the points' scale.
@@ -19,16 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-
-
-class ArnoldiBreakdownError(RuntimeError):
-    """Basis generation broke down (fewer distinct points than degree + 1)."""
-
-    def __init__(self, step):
-        self.step = step
-        super().__init__(
-            f"Arnoldi breakdown at column {step}: relative subdiagonal below 1e-14"
-        )
 
 
 @dataclass(frozen=True)
@@ -52,9 +42,9 @@ def va_fit(samples, degree):
     and its coefficients are a prefix of these up to rounding.  The fit
     runs on Z / s and F / t, for s and t the powers of two nearest max|Z|
     and max|F| on a log scale (1 for all zeros), and H and the
-    coefficients are scaled back by s and t.  Raises
-    ArnoldiBreakdownError when a basis column's norm falls below 1e-14
-    relative to s.
+    coefficients are scaled back by s and t.  If basis column k + 1's norm
+    falls below 1e-14 relative to s (fewer than k + 2 distinct points to
+    rounding), the fit stops there and has degree k.
     """
     s, t = (linalg.pow2_scale(x) for x in (samples.points, samples.values))
     Z, F = samples.points / s, samples.values / t
@@ -78,12 +68,14 @@ def va_fit(samples, degree):
             H[: k + 1, k] += h
         sub = np.linalg.norm(q) / root_m
         if sub < 1e-14:
-            raise ArnoldiBreakdownError(k + 1)
+            n = k
+            break
         H[k + 1, k] = sub
         Q[:, k + 1] = q / sub
-    # Q^H Q = M I, and the breakdown guard keeps every column independent
-    c = Q.conj().T @ F / M
-    return ArnoldiPolynomial(hessenberg=H * s, coeffs=c * t, degree=n)
+    # Q^H Q = M I, and the breakdown test keeps every column independent
+    c = Q[:, : n + 1].conj().T @ F / M
+    return ArnoldiPolynomial(hessenberg=H[: n + 1, :n] * s, coeffs=c * t,
+                             degree=n)
 
 
 def va_basis(model, points):

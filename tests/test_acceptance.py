@@ -320,7 +320,7 @@ def test_criterion_10_property_suites(exp_disk_fit):
     def synth(errs, ns):
         entries = tuple(Entry(int(n), Method.RATIONAL, float(e))
                         for n, e in zip(ns, errs))
-        return ConvergenceRecord(FunctionSpec.EXP, Disk(0j, 1.0), entries)
+        return ConvergenceRecord(entries)
 
     ns = np.arange(1, 25)
     kinds = [

@@ -19,7 +19,7 @@ def synthetic_record(errors, degrees=None):
     entries = tuple(
         Entry(d, Method.RATIONAL, float(e)) for d, e in zip(degrees, errors)
     )
-    return ConvergenceRecord(FunctionSpec.EXP, Disk(0j, 1.0), entries)
+    return ConvergenceRecord(entries)
 
 
 def test_sup_error_exact_rational():

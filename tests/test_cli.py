@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratapprox import aaa, analysis, cli, geometry, potential
+from ratapprox import aaa, analysis, cli, geometry, polyfit, potential
 from ratapprox.aaa import BarycentricRational
 from ratapprox.cli import (
     UsageError,
@@ -202,6 +202,25 @@ def test_study_survives_arnoldi_breakdown(tmp_path):
     polynomial = [int(r[0]) for r in rows if r[1] == "polynomial"]
     assert polynomial == list(range(2, 297, 2))
     assert any(r[1] == "rational" for r in rows)
+
+
+def test_study_runs_one_polynomial_fit_through_a_breakdown(tmp_path,
+                                                            monkeypatch):
+    # the nested basis serves every degree: the fit asked for degree 298
+    # breaks down at column 298 and is the degree-297 fit, and no second
+    # fit is run
+    fit, calls = polyfit.va_fit, []
+
+    def counted(samples, degree):
+        calls.append(degree)
+        return fit(samples, degree)
+
+    monkeypatch.setattr(polyfit, "va_fit", counted)
+    rc = main(["study", "--fn", "abs", "--domain", "interval:-1,1",
+               "--samples", "300", "--degrees", "2:2:400",
+               "--out", str(tmp_path / "conv.csv")])
+    assert rc == 0
+    assert calls == [298]
 
 
 def test_study_flags_overflowing_errors(tmp_path):
