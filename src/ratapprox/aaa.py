@@ -39,8 +39,11 @@ real data come in exactly conjugate pairs.  Models are stored, and
 evaluated, in complex arithmetic either way.
 
 evaluate_prefixes evaluates the models of a trajectory, whose supports are
-prefixes of the last model's, from one difference matrix z - z_k per point
-set; evaluate is its one-model case.
+prefixes of the last model's, in the greedy's arithmetic (_cauchy_sums):
+one Cauchy matrix 1 / (z - z_k) per point set, and two matrix products for
+all models, real when the data are.  evaluate keeps its own
+quotient for one model, with the weights divided into z - z_k; the two
+agree to rounding.
 
 The greedy, cleanup and evaluate divide the values, and residues the
 pole-to-support differences, by an exact power of two near the values' or
@@ -123,11 +126,25 @@ class FitReport:
 def evaluate(r, z):
     """Evaluate the barycentric quotient; exact support hits return f_k.
 
+    Computes sum_k (w_k / (z - z_k)) f_k / sum_k w_k / (z - z_k) on the
+    values divided by t = pow2_scale(values), and multiplies by t exactly.
     A point that is numerically a pole (zero denominator, nonzero
-    numerator) yields an explicit complex infinity.  This is the one-model
-    case of evaluate_prefixes.
+    numerator) yields an explicit complex infinity.  Sample errors of fits
+    (cleanup's final_error) come from here; evaluate_prefixes gives the
+    same quotient for many models at once, to rounding.
     """
-    out = evaluate_prefixes([r], z)[0]
+    zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    t = linalg.pow2_scale(r.values)
+    with np.errstate(all="ignore"):
+        D = zv[:, None] - r.supports
+        hit_rows, hit_cols = np.nonzero(D == 0)
+        C = np.divide(r.weights, D, out=D)
+        num = C @ (r.values / t)
+        den = C.sum(axis=1)
+        out = num / den
+        out.view(float)[:] *= t  # exact, and keeps signed zeros and infs
+    out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
+    out[hit_rows] = r.values[hit_cols]
     if np.ndim(z) == 0:
         return complex(out[0])
     return out.reshape(np.shape(z))
@@ -135,41 +152,59 @@ def evaluate(r, z):
 
 def evaluate_prefixes(models, z):
     """Row i of the (len(models), z.size) result is models[i] at the
-    flattened points z, with the bits of evaluate(models[i], z).
+    flattened points z, equal to evaluate(models[i], z) to rounding.
 
     Each model's supports must be a prefix of the last model's, as along a
-    greedy trajectory; raises ValueError otherwise.  The differences to the
-    last model's supports and their exact zeros (support hits) are computed
-    once.  Each model but the last divides its weights by the leading
-    columns into one C-ordered buffer, whose row-strided view gives the
-    matrix-vector product the bits of a contiguous copy's; the last
-    divides them into the differences in place.
+    greedy trajectory; raises ValueError otherwise.  The quotient is the
+    greedy's: one Cauchy matrix 1 / (z - z_k) over the last model's
+    supports, whose entries at exact support hits are set to 0, times
+    zero-padded (supports x models) matrices of the weights and of
+    w_k f_k / t, for t each model's pow2_scale(values), in two matrix
+    products laid out (models x points).  The zero entries keep a hit
+    beyond a model's prefix from forming 0 * inf.  The arithmetic is real
+    when the points and all models are.  As in evaluate, a hit inside a
+    model's prefix returns f_k, and an exact pole complex infinity.
     """
     last = models[-1].supports
     for m in models:
         if not np.array_equal(m.supports, last[:m.supports.size]):
             raise ValueError(
                 "each model's supports must be a prefix of the last model's")
-    zv = np.asarray(z, dtype=complex).ravel()
-    out = np.empty((len(models), zv.size), dtype=complex)
+    W = np.zeros((last.size, len(models)), dtype=complex)
+    WF = np.zeros_like(W)
+    t = np.empty(len(models))
+    for i, m in enumerate(models):
+        k = m.supports.size
+        t[i] = linalg.pow2_scale(m.values)
+        W[:k, i] = m.weights
+        WF[:k, i] = m.weights * (m.values / t[i])
+    # real parts are strided views: BLAS needs them contiguous
+    zv, S, W, WF = map(np.ascontiguousarray, _real_if_exact(
+        np.asarray(z, dtype=complex).ravel(), last, W, WF))
     with np.errstate(all="ignore"):
-        D = zv[:, None] - last[None, :]
-        hit_rows, hit_cols = np.nonzero(D == 0)
-        width = max((m.supports.size for m in models[:-1]), default=0)
-        buf = np.empty((zv.size, width), dtype=complex)
-        for i, (row, m) in enumerate(zip(out, models)):
-            k = m.supports.size
-            t = linalg.pow2_scale(m.values)
-            C = np.divide(m.weights, D[:, :k],
-                          out=D if i == len(models) - 1 else buf[:, :k])
-            num = C @ (m.values / t)
-            den = C.sum(axis=1)
-            np.divide(num, den, out=row)
-            row.view(float)[:] *= t  # exact, and keeps signed zeros and infs
-            row[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
-            own = hit_cols < k
-            row[hit_rows[own]] = m.values[hit_cols[own]]
+        C = zv[:, None] - S
+        hit_rows, hit_cols = np.nonzero(C == 0)
+        np.divide(1.0, C, out=C)
+        C[hit_rows, hit_cols] = 0
+        num, den = _cauchy_sums(C, W, WF)
+        del C
+        out = np.empty(num.shape, dtype=complex)
+        np.divide(num, den, out=out)
+        out.view(float)[:] *= t[:, None]  # exact; keeps signed zeros, infs
+    out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
+    for row, m in zip(out, models):
+        own = hit_cols < m.supports.size
+        row[hit_rows[own]] = m.values[hit_cols[own]]
     return out
+
+
+def _cauchy_sums(C, W, WF):
+    """The barycentric numerators sum_k WF[k] C[:, k] and denominators
+    sum_k W[k] C[:, k] at the points, the rows of the Cauchy matrix C =
+    1 / (z - z_k): (models x points) products for W and WF with one column
+    per model, and for vectors one sum per point.  The greedy's quotient,
+    shared with evaluate_prefixes."""
+    return WF.T @ C.T, W.T @ C.T
 
 
 def aaa_fit(samples, tol=1e-12, max_degree=150):
@@ -240,9 +275,8 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
             np.divide(1.0, Z - Z[next_j], out=cache[:, k])
             # a strided view of a C-ordered array gives each row's
             # matrix-vector product the bits of a contiguous copy's
-            C = cache[:, :k + 1]
-            rvals = ((C @ (w * Ft[cols])) / (C @ w))[rows]
-        del C  # no view may keep a freed cache alive
+            num, den = _cauchy_sums(cache[:, :k + 1], w, w * Ft[cols])
+            rvals = (num / den)[rows]
         resid = np.abs(Ft[rows] - rvals)
         resid = np.where(np.isfinite(resid), resid, np.inf)
         max_err = float(resid.max()) * t

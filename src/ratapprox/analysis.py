@@ -5,7 +5,9 @@ degree_sweep and sup_errors_on take samples, a greedy trajectory and test
 values (grid_values) from their caller: a figure builds each once, and
 convergence_study and estimate_sup_error build their own.  A sweep
 measures its rational entries in one aaa.evaluate_prefixes call on the
-test grid; an entry with a pole in the closed domain reads inf."""
+test grid, over the snapshots with no pole in the closed domain; an entry
+with one reads inf.  Its polynomial entries come from one product of the
+Arnoldi basis on the test grid with the coefficients of every degree."""
 
 from __future__ import annotations
 
@@ -121,10 +123,11 @@ def sup_errors_on(models, tests):
         return []
     flags = [bool(np.any(geometry.contains(tests.domain, m.pole_list)))
              for m in models]
-    sups = [_sup(tests.values - r)
-            for r in aaa_mod.evaluate_prefixes(models, tests.grid)]
-    return [SupError(np.inf if flag else s, flag)
-            for s, flag in zip(sups, flags)]
+    kept = [m for m, flag in zip(models, flags) if not flag]
+    rows = iter(aaa_mod.evaluate_prefixes(kept, tests.grid) if kept else ())
+    return [SupError(np.inf, True) if flag
+            else SupError(_sup(tests.values - next(rows)), False)
+            for flag in flags]
 
 
 def estimate_sup_error(f, approximant, domain):
@@ -147,10 +150,14 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     degrees the run does not reach get no rational entry.  Polynomial
     entries come from one va_fit at the largest requested degree the
     samples allow, samples - 1: the Arnoldi basis is nested, so degree n
-    uses the first n+1 basis columns and coefficients, and the basis is
-    evaluated on the test grid once.  The fit stops at the last degree its
-    points determine, and degrees above the fit's degree get no polynomial
-    entry.
+    uses the first n+1 basis columns and coefficients.  The basis is
+    evaluated on the test grid once, and one product of it with the
+    (degrees x columns) matrix of zero-padded coefficient prefixes gives
+    the values at every degree.  A degree that reaches a basis column with
+    a non-finite entry on the grid reads inf.  The fit stops at the last
+    degree its points determine, and degrees above the fit's degree get no
+    polynomial entry.  The product and the basis are freed before the
+    rational pass.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor", and errors that are not finite are flagged "overflow".  A
     rational entry with a pole in the closed domain is flagged
@@ -163,14 +170,23 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     if poly_degrees:
         pmodel = polyfit.va_fit(samples, poly_degrees[-1])
         poly_degrees = [n for n in poly_degrees if n <= pmodel.degree]
-    # the basis can overflow on the grid at high degree: flagged "overflow"
     if poly_degrees:
         with np.errstate(over="ignore", invalid="ignore"):
             W = polyfit.va_basis(pmodel, tests.grid)
-            for n in poly_degrees:
-                perr[n] = _sup(tests.values
-                               - W[:, : n + 1] @ pmodel.coeffs[: n + 1])
-        del W  # free the basis before the rational pass allocates its own
+            # the basis can overflow on the grid at high degree: a degree
+            # that reaches a column with a non-finite entry reads inf,
+            # flagged "overflow", and the product spans the columns before
+            # it, where no zero coefficient meets an inf
+            c = int(np.logical_and.accumulate(np.isfinite(W).all(axis=0)).sum())
+            perr = {n: np.inf for n in poly_degrees}
+            finite = [n for n in poly_degrees if n < c]
+            A = np.zeros((len(finite), c), dtype=complex)
+            for row, n in zip(A, finite):
+                row[: n + 1] = pmodel.coeffs[: n + 1]
+            V = A @ W[:, :c].T
+            del W  # free the basis before the rational pass allocates its own
+            perr.update((n, _sup(tests.values - v)) for n, v in zip(finite, V))
+            del V
 
     swept = set(degrees)
     models = [m for m in trajectory.snapshots if m.degree in swept]

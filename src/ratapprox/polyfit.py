@@ -10,6 +10,10 @@ lower degree, and a fit stops at the last column its points determine.
 The recurrence is homogeneous in the points, and va_fit runs it on data
 divided by exact powers of two (linalg.pow2_scale): no column norm
 overflows, and the breakdown threshold is relative to the points' scale.
+Both the fit's basis Q and the regenerated one W are stored column-major,
+so each step's products read the leading columns contiguously, and the
+projections Q^H q are taken as conj(q^H Q), which conjugates a vector, not
+a block of Q.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def va_fit(samples, degree):
         raise ValueError("degree must be nonnegative")
     if M < n + 1:
         raise ValueError(f"need at least degree + 1 = {n + 1} samples, got {M}")
-    Q = np.zeros((M, n + 1), dtype=complex)
+    Q = np.zeros((M, n + 1), dtype=complex, order="F")
     H = np.zeros((n + 1, n), dtype=complex)
     Q[:, 0] = 1.0
     root_m = np.sqrt(M)
@@ -63,7 +67,7 @@ def va_fit(samples, degree):
         # block classical Gram-Schmidt, run twice (CGS2): each pass
         # projects q against all previous columns at once
         for _ in range(2):
-            h = Q[:, : k + 1].conj().T @ q / M
+            h = (q.conj() @ Q[:, : k + 1]).conj() / M
             q = q - Q[:, : k + 1] @ h
             H[: k + 1, k] += h
         sub = np.linalg.norm(q) / root_m
@@ -73,7 +77,7 @@ def va_fit(samples, degree):
         H[k + 1, k] = sub
         Q[:, k + 1] = q / sub
     # Q^H Q = M I, and the breakdown test keeps every column independent
-    c = Q[:, : n + 1].conj().T @ F / M
+    c = (F.conj() @ Q[:, : n + 1]).conj() / M
     return ArnoldiPolynomial(hessenberg=H[: n + 1, :n] * s, coeffs=c * t,
                              degree=n)
 
@@ -83,7 +87,7 @@ def va_basis(model, points):
     by the stored recurrence; its first k+1 columns are the degree-k basis."""
     zv = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     n = model.degree
-    W = np.zeros((zv.size, n + 1), dtype=complex)
+    W = np.zeros((zv.size, n + 1), dtype=complex, order="F")
     W[:, 0] = 1.0
     H = model.hessenberg
     for k in range(n):

@@ -265,36 +265,80 @@ def _reference_evaluate(r, z):
     return out
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), real=st.booleans(),
-       n_supports=st.integers(3, 40), data=st.data())
-def test_evaluate_prefixes_matches_evaluate_bit_for_bit(seed, real, n_supports,
-                                                        data):
-    # models along a trajectory: supports and values are prefixes of the
-    # last model's, each model has weights of its own.  The first two
-    # supports are 0 and 1 with weights (1, 1): 0.5 is an exact pole of
-    # that model.  The points include every support, so each model meets
-    # hits inside its prefix and outside it.
-    rng = np.random.default_rng(seed)
-    sizes = sorted(data.draw(st.sets(st.integers(3, n_supports), max_size=6))
-                   | {2, n_supports})
+def _rounding_bound(r, z):
+    """A bound on |q1 - q2| for two floating-point evaluations q1, q2 of the
+    barycentric quotient r(z) = N / D at points z off the supports, with
+    N = sum_k a_k, a_k = w_k f_k / (z - z_k), and D = sum_k b_k,
+    b_k = w_k / (z - z_k):
 
+        eps (K + 17) (sum_k |a_k| + |r| sum_k |b_k|) / |D|.
+
+    Either evaluation forms each term with one subtraction z - z_k
+    (relative error u = eps / 2), at most one complex division (sqrt(2)
+    gamma_4, Higham, Accuracy and Stability, sec. 3.6) and at most two
+    complex multiplications (sqrt(2) gamma_2 each), then sums K terms in
+    some order (gamma_(K-1)).  To first order each term carries a relative
+    error of at most (1 + 4 sqrt(2) + 4 sqrt(2) + K - 1) u < (K + 11.4) u,
+    so N and D are off by at most (K + 11.4) u sum|a_k| and (K + 11.4) u
+    sum|b_k|, and N / D by (|dN| + |r| |dD|) / |D|.  The final division
+    adds sqrt(2) gamma_4 |r| < 5.7 u |r|, itself at most 5.7 u times the
+    bracket over |D|, since |D| <= sum|b_k|.  That is (K + 17.1) u per
+    evaluation, and twice that for the difference of two; the powers of two
+    both evaluations scale the values by are exact.  Real arithmetic
+    rounds less.
+    """
+    with np.errstate(all="ignore"):
+        C = 1.0 / (np.asarray(z)[:, None] - r.supports)
+        a, b = C * (r.weights * r.values), C * r.weights
+        q = a.sum(axis=1) / b.sum(axis=1)
+        spread = np.abs(a).sum(axis=1) + np.abs(q) * np.abs(b).sum(axis=1)
+        return (np.finfo(float).eps * (r.supports.size + 17)
+                * spread / np.abs(b.sum(axis=1)))
+
+
+def _prefix_models(rng, real, sizes):
+    """Models along a trajectory: supports and values are prefixes of the
+    last model's, each model has weights of its own.  The first two
+    supports are 0 and 1 with values (1, 2); the first model has weights
+    (1, 1), so 0.5 is its exact pole."""
     def vec(n):
         v = rng.standard_normal(n)
         return v if real else v + 1j * rng.standard_normal(n)
 
-    z = np.concatenate([[0.0, 1.0], 3.0 + vec(n_supports - 2)])
-    f = np.concatenate([[1.0, 2.0], vec(n_supports - 2)])
+    n = sizes[-1]
+    z = np.concatenate([[0.0, 1.0], 3.0 + vec(n - 2)])
+    f = np.concatenate([[1.0, 2.0], vec(n - 2)])
     models = [aaa.BarycentricRational(z[:k], f[:k], vec(k)) for k in sizes]
     models[0] = aaa.BarycentricRational(z[:2], f[:2], np.ones(2))
+    return models, vec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), real=st.booleans(),
+       n_supports=st.integers(3, 40), data=st.data())
+def test_evaluate_prefixes_matches_evaluate_to_rounding(seed, real,
+                                                        n_supports, data):
+    # the points include every support, so each model meets hits inside
+    # its prefix and outside it.  evaluate keeps its own arithmetic, bit for
+    # bit; evaluate_prefixes runs the greedy's, so its rows agree with
+    # evaluate to the rounding bound off the supports, and exactly at
+    # support hits inside a model's prefix and at the exact pole
+    rng = np.random.default_rng(seed)
+    sizes = sorted(data.draw(st.sets(st.integers(3, n_supports), max_size=6))
+                   | {2, n_supports})
+    models, vec = _prefix_models(rng, real, sizes)
+    z = models[-1].supports
     pts = np.concatenate([vec(50), z, [0.5]])
     rows = aaa.evaluate_prefixes(models, pts)
     assert rows.shape == (len(models), pts.size)
     assert np.isinf(rows[0, -1])
+    off = slice(0, 50)
     for m, row in zip(models, rows):
         ref = _reference_evaluate(m, pts)
-        assert row.tobytes() == ref.tobytes()
         assert aaa.evaluate(m, pts).tobytes() == ref.tobytes()
+        assert np.all(np.abs(row[off] - ref[off]) <= _rounding_bound(m, pts[off]))
+        k = m.supports.size
+        assert row[50:50 + k].tobytes() == m.values.tobytes()
         grid = pts[:50].reshape(5, 10)
         assert aaa.evaluate(m, grid).shape == (5, 10)
         assert (aaa.evaluate(m, grid).tobytes()
@@ -303,12 +347,38 @@ def test_evaluate_prefixes_matches_evaluate_bit_for_bit(seed, real, n_supports,
         for zi in (pts[0], z[1], z[-1], 0.5):
             assert (np.complex128(aaa.evaluate(m, zi)).tobytes()
                     == _reference_evaluate(m, zi).tobytes())
+    # the bound has teeth: a weight off by 1e-8 relative breaks it
+    m = models[-1]
+    j = int(np.argmax(np.abs(m.weights)))
+    w = m.weights.copy()
+    w[j] *= 1 + 1e-8
+    moved = aaa.evaluate_prefixes([aaa.BarycentricRational(z, m.values, w)],
+                                  pts[off])[0]
+    assert np.any(np.abs(moved - _reference_evaluate(m, pts[off]))
+                  > _rounding_bound(m, pts[off]))
     # the supports must be prefixes of the last model's
     with pytest.raises(ValueError):
         aaa.evaluate_prefixes(models[::-1], pts)
-    shifted = aaa.BarycentricRational(z[1:3], f[1:3], np.ones(2))
+    shifted = aaa.BarycentricRational(z[1:3], m.values[1:3], np.ones(2))
     with pytest.raises(ValueError):
         aaa.evaluate_prefixes([shifted, models[-1]], pts)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_evaluate_prefixes_at_supports_beyond_a_prefix(real):
+    # a point on a support that a model's prefix does not reach: the
+    # Cauchy entry there is set to 0, not inf, so the model's zero-padded
+    # weight forms no 0 * inf, and its value is the quotient's, to rounding
+    models, _ = _prefix_models(np.random.default_rng(7), real, [2, 5, 9, 14])
+    z = models[-1].supports
+    rows = aaa.evaluate_prefixes(models, z)
+    for m, row in zip(models, rows):
+        k = m.supports.size
+        beyond = row[k:]
+        assert np.all(np.isfinite(beyond))
+        assert np.all(np.abs(beyond - _reference_evaluate(m, z[k:]))
+                      <= _rounding_bound(m, z[k:]))
+        assert row[:k].tobytes() == m.values.tobytes()
 
 
 def _reference_fit(samples, tol, max_degree):

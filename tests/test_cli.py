@@ -241,6 +241,11 @@ def test_study_flags_overflowing_errors(tmp_path):
             assert not np.isfinite(float(error))
         if not np.isfinite(float(error)):
             assert flag not in ("ok", "floor")
+    # only the degrees that reach an overflowing basis column read inf;
+    # the ones below stay finite, up to 3e299 at degree 174
+    poly = [(int(r[0]), r[3]) for r in rows if r[1] == "polynomial"]
+    assert [d for d, flag in poly if flag == "overflow"] == [
+        d for d, _ in poly if d >= 176]
     json.loads(rpt.read_text(), parse_constant=_reject)
 
 
@@ -520,21 +525,13 @@ def test_fit_not_converged_when_cleanup_misses_tol(tmp_path):
     assert summary["converged"] is False
 
 
-def _per_snapshot_sup_error(model, domain, grid, fv):
-    """sup_errors_on of one rational model, computed on its own: inf if a
-    pole lies in the closed domain, else the error on the test grid."""
-    if np.any(geometry.contains(domain, model.pole_list)):
-        return np.inf, True
-    err = np.abs(fv - aaa.evaluate(model, grid))
-    return float(np.max(np.where(np.isfinite(err), err, np.inf))), False
-
-
 @pytest.mark.parametrize("case", ["fig5", "abs-study"])
 def test_sweep_measures_each_point_set_once(case, monkeypatch):
     # figure 5's sweep and the 500-sample abs study flag many snapshots
-    # pole-in-domain; their rational entries are the one-model-at-a-time
-    # errors bit for bit (inf where flagged), from one evaluate_prefixes
-    # call on the test grid
+    # pole-in-domain, exactly those with a pole in the closed domain, and
+    # their error is inf.  The other rational entries are the sups of one
+    # evaluate_prefixes call on the test grid over the unflagged snapshots,
+    # bit for bit
     if case == "fig5":
         preset = cli.PRESETS[5]
         fn, domain, degrees = preset.fn, preset.domain, list(preset.degrees)
@@ -557,27 +554,31 @@ def test_sweep_measures_each_point_set_once(case, monkeypatch):
         def sweep():
             return analysis.convergence_study(fn, domain, degrees)
     tests = analysis.grid_values(fn, domain)
-    ref = {m.degree: _per_snapshot_sup_error(m, domain, tests.grid,
-                                             tests.values)
-           for m in trajectory.snapshots if m.degree in degrees}
-    assert sum(flagged for _, flagged in ref.values()) > 1
-    assert not all(flagged for _, flagged in ref.values())
+    swept = [m for m in trajectory.snapshots if m.degree in degrees]
+    flagged = {m.degree: bool(np.any(geometry.contains(domain, m.pole_list)))
+               for m in swept}
+    assert sum(flagged.values()) > 1
+    assert not all(flagged.values())
+    kept = [m for m in swept if not flagged[m.degree]]
+    ref = {m.degree: analysis._sup(tests.values - row) for m, row in
+           zip(kept, aaa.evaluate_prefixes(kept, tests.grid))}
 
     calls = []
     evaluate_prefixes = aaa.evaluate_prefixes
 
     def counting(models, z):
-        calls.append(len(models))
+        calls.append([m.degree for m in models])
         return evaluate_prefixes(models, z)
 
     monkeypatch.setattr(aaa, "evaluate_prefixes", counting)
     record = sweep()
-    assert calls == [len(ref)]
-    got = {e.degree: (e.error, e.flag == "pole-in-domain")
-           for e in record.for_method(analysis.Method.RATIONAL)}
-    assert got.keys() == ref.keys()
-    for n, (error, flagged) in got.items():
-        assert (error.hex(), flagged) == (ref[n][0].hex(), ref[n][1])
+    assert calls == [list(ref)]
+    got = {e.degree: e for e in record.for_method(analysis.Method.RATIONAL)}
+    assert got.keys() == flagged.keys()
+    for n, entry in got.items():
+        assert (entry.flag == "pole-in-domain") == flagged[n]
+        expected = np.inf if flagged[n] else ref[n]
+        assert entry.error.hex() == expected.hex()
 
 
 @pytest.mark.parametrize("figure_id,max_degree", [
