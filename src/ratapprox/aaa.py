@@ -41,9 +41,12 @@ evaluated, in complex arithmetic either way.
 evaluate_prefixes evaluates the models of a trajectory, whose supports are
 prefixes of the last model's, in the greedy's arithmetic (_cauchy_sums):
 one Cauchy matrix 1 / (z - z_k) per point set, and two matrix products for
-all models, real when the data are.  evaluate keeps its own
-quotient for one model, with the weights divided into z - z_k; the two
-agree to rounding.
+all models, real when the data are.  It is a setup and one step:
+prefix_evaluator pads the weights, takes the scales and chooses the
+arithmetic once for a point set, and returns the step, which evaluates a
+slice of the points on that slice's Cauchy matrix, so a caller can walk a
+large point set in blocks.  evaluate keeps its own quotient for one model,
+with the weights divided into z - z_k; the two agree to rounding.
 
 The greedy, cleanup and evaluate divide the values, and residues the
 pole-to-support differences, by an exact power of two near the values' or
@@ -152,7 +155,15 @@ def evaluate(r, z):
 
 def evaluate_prefixes(models, z):
     """Row i of the (len(models), z.size) result is models[i] at the
-    flattened points z, equal to evaluate(models[i], z) to rounding.
+    flattened points z, equal to evaluate(models[i], z) to rounding: the
+    prefix_evaluator of models on z, run on all of z at once."""
+    return prefix_evaluator(models, z)(slice(None))
+
+
+def prefix_evaluator(models, z):
+    """The setup of evaluate_prefixes(models, z), run once: a function that
+    takes a slice of the flattened points z and returns the rows of
+    evaluate_prefixes(models, z[slice]).
 
     Each model's supports must be a prefix of the last model's, as along a
     greedy trajectory; raises ValueError otherwise.  The quotient is the
@@ -160,10 +171,13 @@ def evaluate_prefixes(models, z):
     supports, whose entries at exact support hits are set to 0, times
     zero-padded (supports x models) matrices of the weights and of
     w_k f_k / t, for t each model's pow2_scale(values), in two matrix
-    products laid out (models x points).  The zero entries keep a hit
-    beyond a model's prefix from forming 0 * inf.  The arithmetic is real
-    when the points and all models are.  As in evaluate, a hit inside a
-    model's prefix returns f_k, and an exact pole complex infinity.
+    products laid out (models x points).  The setup builds the padded
+    matrices and the scales, and chooses the arithmetic: real when all of
+    z and all models are.  Each call builds the Cauchy matrix of its slice
+    only, so a caller that walks z in blocks never holds one for all of z.
+    The zero entries keep a hit beyond a model's prefix from forming
+    0 * inf.  As in evaluate, a hit inside a model's prefix returns f_k,
+    and an exact pole complex infinity.
     """
     last = models[-1].supports
     for m in models:
@@ -181,21 +195,25 @@ def evaluate_prefixes(models, z):
     # real parts are strided views: BLAS needs them contiguous
     zv, S, W, WF = map(np.ascontiguousarray, _real_if_exact(
         np.asarray(z, dtype=complex).ravel(), last, W, WF))
-    with np.errstate(all="ignore"):
-        C = zv[:, None] - S
-        hit_rows, hit_cols = np.nonzero(C == 0)
-        np.divide(1.0, C, out=C)
-        C[hit_rows, hit_cols] = 0
-        num, den = _cauchy_sums(C, W, WF)
-        del C
-        out = np.empty(num.shape, dtype=complex)
-        np.divide(num, den, out=out)
-        out.view(float)[:] *= t[:, None]  # exact; keeps signed zeros, infs
-    out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
-    for row, m in zip(out, models):
-        own = hit_cols < m.supports.size
-        row[hit_rows[own]] = m.values[hit_cols[own]]
-    return out
+
+    def evaluate_block(rows):
+        with np.errstate(all="ignore"):
+            C = zv[rows, None] - S
+            hit_rows, hit_cols = np.nonzero(C == 0)
+            np.divide(1.0, C, out=C)
+            C[hit_rows, hit_cols] = 0
+            num, den = _cauchy_sums(C, W, WF)
+            del C
+            out = np.empty(num.shape, dtype=complex)
+            np.divide(num, den, out=out)
+            out.view(float)[:] *= t[:, None]  # exact; keeps signed zeros, infs
+        out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
+        for row, m in zip(out, models):
+            own = hit_cols < m.supports.size
+            row[hit_rows[own]] = m.values[hit_cols[own]]
+        return out
+
+    return evaluate_block
 
 
 def _cauchy_sums(C, W, WF):

@@ -3,11 +3,16 @@ classification of the observed decay regime.
 
 degree_sweep and sup_errors_on take samples, a greedy trajectory and test
 values (grid_values) from their caller: a figure builds each once, and
-convergence_study and estimate_sup_error build their own.  A sweep
-measures its rational entries in one aaa.evaluate_prefixes call on the
-test grid, over the snapshots with no pole in the closed domain; an entry
-with one reads inf.  Its polynomial entries come from one product of the
-Arnoldi basis on the test grid with the coefficients of every degree."""
+convergence_study and estimate_sup_error build their own.  Every sup over
+the test grid is one fold (_sups): the grid is walked in blocks of
+GRID_BLOCK points, each block gives the values of all the approximants
+there, and their max errors are folded into a running max, so no array
+spans the whole grid.  A sweep measures its rational entries in one such
+fold of an aaa.prefix_evaluator, set up once over the snapshots with no
+pole in the closed domain; an entry with one reads inf.  Its polynomial
+entries come from one fold in which each block regenerates the Arnoldi
+basis at its points and multiplies it with the coefficients of every
+degree."""
 
 from __future__ import annotations
 
@@ -24,6 +29,9 @@ from .aaa import BarycentricRational
 
 # the default tol_floor of a study, and the one of every figure
 TOL_FLOOR = 1e-13
+# the test-grid points of one block of a sup (_sups): a block's basis,
+# Cauchy matrix and products stay small, and none spans the whole grid
+GRID_BLOCK = 512
 
 
 class Method(enum.Enum):
@@ -90,9 +98,27 @@ def grid_values(f, domain):
 
 
 def _sup(err):
-    """Max of |errors|, with non-finite entries counted as inf."""
+    """Max of |errors| along the last axis, with non-finite entries counted
+    as inf."""
     err = np.abs(err)
-    return float(np.max(np.where(np.isfinite(err), err, np.inf)))
+    return np.max(np.where(np.isfinite(err), err, np.inf), axis=-1)
+
+
+def _sups(tests, n_rows, values_at):
+    """The sup over the test grid of each of n_rows approximants, whose
+    (n_rows x block) values at tests.grid[rows], for a slice rows, are
+    values_at(rows).
+
+    The grid is walked in blocks of GRID_BLOCK points, and each block's
+    per-row _sup is folded into a running max, so that no array spans the
+    whole grid.  A max does not depend on how the grid is cut, so the sups
+    are those of one pass over all of it.
+    """
+    sups = np.zeros(n_rows)
+    for start in range(0, tests.grid.size, GRID_BLOCK):
+        rows = slice(start, start + GRID_BLOCK)
+        np.maximum(sups, _sup(tests.values[rows] - values_at(rows)), out=sups)
+    return sups
 
 
 def _flag(error, floor):
@@ -117,26 +143,31 @@ def sup_errors_on(models, tests):
     A model with a pole (its pole_list) in the closed domain, exactly
     (geometry.contains), is flagged, and its error is inf: r is unbounded
     there, so that is its true sup.  Every other model's error is its sup
-    over the test grid, from one aaa.evaluate_prefixes call for all models.
+    over the test grid, from one fold (_sups) of one aaa.prefix_evaluator,
+    set up once for all of those models.
     """
     if not models:
         return []
     flags = [bool(np.any(geometry.contains(tests.domain, m.pole_list)))
              for m in models]
     kept = [m for m, flag in zip(models, flags) if not flag]
-    rows = iter(aaa_mod.evaluate_prefixes(kept, tests.grid) if kept else ())
+    sups = iter(_sups(tests, len(kept),
+                      aaa_mod.prefix_evaluator(kept, tests.grid))
+                if kept else ())
     return [SupError(np.inf, True) if flag
-            else SupError(_sup(tests.values - next(rows)), False)
+            else SupError(float(next(sups)), False)
             for flag in flags]
 
 
 def estimate_sup_error(f, approximant, domain):
     """The SupError of approximant on the grid_values of f on domain, built
-    for this call; a rational approximant's comes from sup_errors_on."""
+    for this call; a rational approximant's comes from sup_errors_on, and
+    any other's from one fold (_sups) of its values on each block."""
     tests = grid_values(f, domain)
     if isinstance(approximant, BarycentricRational):
         return sup_errors_on([approximant], tests)[0]
-    return SupError(_sup(tests.values - approximant(tests.grid)), False)
+    (sup,) = _sups(tests, 1, lambda rows: approximant(tests.grid[rows])[None])
+    return SupError(float(sup), False)
 
 
 def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
@@ -150,14 +181,15 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     degrees the run does not reach get no rational entry.  Polynomial
     entries come from one va_fit at the largest requested degree the
     samples allow, samples - 1: the Arnoldi basis is nested, so degree n
-    uses the first n+1 basis columns and coefficients.  The basis is
-    evaluated on the test grid once, and one product of it with the
-    (degrees x columns) matrix of zero-padded coefficient prefixes gives
-    the values at every degree.  A degree that reaches a basis column with
-    a non-finite entry on the grid reads inf.  The fit stops at the last
-    degree its points determine, and degrees above the fit's degree get no
-    polynomial entry.  The product and the basis are freed before the
-    rational pass.
+    uses the first n+1 basis columns and coefficients.  The fit stops at
+    the last degree its points determine, and degrees above the fit's
+    degree get no polynomial entry.  Their sups are one fold over blocks of
+    the test grid (_sups): each block regenerates the basis at its points,
+    and one product of it with the (degrees x columns) matrix of
+    zero-padded coefficient prefixes gives the values there at every
+    degree.  A block whose basis has a non-finite entry in column c first
+    gives inf for every degree >= c, so a degree reads inf exactly when it
+    reaches a column with a non-finite entry anywhere on the grid.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor", and errors that are not finite are flagged "overflow".  A
     rational entry with a pole in the closed domain is flagged
@@ -171,22 +203,26 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
         pmodel = polyfit.va_fit(samples, poly_degrees[-1])
         poly_degrees = [n for n in poly_degrees if n <= pmodel.degree]
     if poly_degrees:
-        with np.errstate(over="ignore", invalid="ignore"):
-            W = polyfit.va_basis(pmodel, tests.grid)
-            # the basis can overflow on the grid at high degree: a degree
-            # that reaches a column with a non-finite entry reads inf,
-            # flagged "overflow", and the product spans the columns before
-            # it, where no zero coefficient meets an inf
+        A = np.zeros((len(poly_degrees), pmodel.degree + 1), dtype=complex)
+        for row, n in zip(A, poly_degrees):
+            row[: n + 1] = pmodel.coeffs[: n + 1]
+
+        def values_at(rows):
+            # the basis can overflow on the grid at high degree: in a block
+            # whose basis has a non-finite entry in column c first, every
+            # degree >= c reads inf, and the product spans the columns
+            # before c, where no zero coefficient meets an inf
+            W = polyfit.va_basis(pmodel, tests.grid[rows])
             c = int(np.logical_and.accumulate(np.isfinite(W).all(axis=0)).sum())
-            perr = {n: np.inf for n in poly_degrees}
-            finite = [n for n in poly_degrees if n < c]
-            A = np.zeros((len(finite), c), dtype=complex)
-            for row, n in zip(A, finite):
-                row[: n + 1] = pmodel.coeffs[: n + 1]
-            V = A @ W[:, :c].T
-            del W  # free the basis before the rational pass allocates its own
-            perr.update((n, _sup(tests.values - v)) for n, v in zip(finite, V))
-            del V
+            k = int(np.searchsorted(poly_degrees, c))  # the degrees below c
+            V = np.empty((len(poly_degrees), W.shape[0]), dtype=complex)
+            np.matmul(A[:k, :c], W[:, :c].T, out=V[:k])
+            V[k:] = np.inf
+            return V
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            perr = dict(zip(poly_degrees, map(float, _sups(
+                tests, len(poly_degrees), values_at))))
 
     swept = set(degrees)
     models = [m for m in trajectory.snapshots if m.degree in swept]

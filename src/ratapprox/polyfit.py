@@ -13,7 +13,9 @@ overflows, and the breakdown threshold is relative to the points' scale.
 Both the fit's basis Q and the regenerated one W are stored column-major,
 so each step's products read the leading columns contiguously, and the
 projections Q^H q are taken as conj(q^H Q), which conjugates a vector, not
-a block of Q.
+a block of Q.  Each point's row of W depends on that point alone, so a
+caller can regenerate the basis a block of points at a time, as the
+degree sweep does on the test grid, and never hold it on all of them.
 """
 
 from __future__ import annotations

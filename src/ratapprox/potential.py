@@ -81,15 +81,24 @@ def phi(z, supports, pole_list):
     zv = np.asarray(z, dtype=dtype)
     scalar = zv.ndim == 0
     zv = np.atleast_1d(zv)
-    out = np.ones_like(zv)
+    # three buffers, so that a large grid allocates nothing per factor: diff
+    # takes each difference and, in place, the product (z - s_k) * out (a
+    # complex product's rounding depends on the operand order), and a pole
+    # factor's quotient alternates between out and spare
+    out, diff, spare = np.ones_like(zv), np.empty_like(zv), np.empty_like(zv)
     with np.errstate(all="ignore"):
         for k in range(max(s.size, p.size)):
             if k < s.size:
-                out = out * (zv - s[k])
+                np.subtract(zv, s[k], out=diff)
+                out, diff = np.multiply(diff, out, out=diff), out
             if k < p.size:
-                out = out / (zv - p[k])
+                np.subtract(zv, p[k], out=diff)
+                out, spare = np.divide(out, diff, out=spare), out
     if p.size:
-        at_pole = np.isin(zv, p)
+        # a cell at a pole was divided by zero, and a non-finite product
+        # stays non-finite, so only the non-finite cells can be at a pole
+        at_pole = ~np.isfinite(out)
+        at_pole[at_pole] = np.isin(zv[at_pole], p)
         out[at_pole] = complex(np.inf, np.inf)
     return complex(out[0]) if scalar else out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,85 @@ def test_study_polynomial_entries_match_per_degree_fits(fn, domain, degrees):
         ref = estimate_sup_error(fn, polyfit.va_fit(samples, e.degree), domain)
         assert abs(e.error - ref.value) <= 1e-14
         assert e.flag == ("floor" if ref.value < floor else "ok")
+
+
+def _entries(record):
+    return [(e.degree, e.method, e.error.hex(), e.flag) for e in record.entries]
+
+
+@pytest.fixture(scope="module")
+def abs300_study():
+    # the study of test_study_flags_overflowing_errors: its polynomial
+    # basis overflows on the test grid at high degree
+    fn, domain = FunctionSpec.ABS_VAL, Interval(-1.0, 1.0)
+    degrees = list(range(2, 291, 2))
+    samples = ra.sample_function(fn, domain, 300)
+    trajectory = aaa.aaa_fit(samples, tol=analysis.TOL_FLOOR,
+                             max_degree=degrees[-1])
+
+    def sweep(tests):
+        return analysis.degree_sweep(degrees, analysis.TOL_FLOOR, samples,
+                                     trajectory, tests)
+    tests = analysis.grid_values(fn, domain)
+    return samples, tests, sweep, sweep(tests)
+
+
+@pytest.mark.parametrize("order", ["overflow-first", "shuffled"])
+def test_sweep_errors_do_not_depend_on_block_boundaries(abs300_study, order):
+    # the sweep folds each block's sups into a running max, so permuting
+    # the test grid moves the block boundaries and changes no entry.  The
+    # basis first overflows in column 175, at the points near +-1; packed
+    # first, they leave the last blocks with finite columns past 175, where
+    # the fold must still read inf from the others.  A shuffle spreads them
+    # over every block
+    samples, tests, sweep, record = abs300_study
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(polyfit.va_basis(polyfit.va_fit(samples, 290),
+                                              tests.grid))
+    first_bad = np.where(finite.all(axis=1), finite.shape[1],
+                         np.argmin(finite, axis=1))
+    assert first_bad.min() == 175
+    overflowing = first_bad == 175
+    if order == "overflow-first":
+        perm = np.argsort(~overflowing, kind="stable")
+        assert not overflowing[perm][-analysis.GRID_BLOCK:].any()
+    else:
+        perm = np.random.default_rng(0).permutation(tests.grid.size)
+    permuted = sweep(analysis.GridValues(tests.domain, tests.grid[perm],
+                                         tests.values[perm]))
+    assert _entries(permuted) == _entries(record)
+    poly = permuted.for_method(Method.POLYNOMIAL)
+    assert [e.degree for e in poly if e.flag == "overflow"] == [
+        e.degree for e in poly if e.degree >= 176]
+
+
+def test_degree_sweep_memory_is_bounded_by_a_block():
+    # tansq on the unit disk, 500 samples, degrees 2:2:150: 151 basis
+    # columns.  What the sweep allocates is complex, 16 bytes an entry:
+    # the fit's basis (samples x columns) and Hessenberg matrices (two of
+    # columns x columns), then per block of the test grid the block's basis
+    # (GRID_BLOCK x columns) and at most three arrays of products and
+    # errors of (degrees x GRID_BLOCK), degrees <= columns.  The rational
+    # side, after it, holds a Cauchy block (GRID_BLOCK x supports) and
+    # (models x GRID_BLOCK) products, supports and models <= columns.  The
+    # whole-grid basis alone is above that bound
+    fn, domain, degrees = FunctionSpec.TAN_SQ, Disk(0j, 1.0), list(range(2, 151, 2))
+    samples = ra.sample_function(fn, domain, 500)
+    trajectory = aaa.aaa_fit(samples, tol=analysis.TOL_FLOOR,
+                             max_degree=degrees[-1])
+    for m in trajectory.snapshots:
+        m.pole_list  # solved before the measurement, as in a figure
+    tests = analysis.grid_values(fn, domain)
+    columns = polyfit.va_fit(samples, degrees[-1]).degree + 1
+    assert columns == 151
+    bound = 16 * columns * (samples.points.size + 2 * columns
+                            + 4 * analysis.GRID_BLOCK)
+    assert 16 * columns * tests.grid.size > bound
+    tracemalloc.start()
+    try:
+        analysis.degree_sweep(degrees, analysis.TOL_FLOOR, samples,
+                              trajectory, tests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound

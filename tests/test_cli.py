@@ -529,9 +529,10 @@ def test_fit_not_converged_when_cleanup_misses_tol(tmp_path):
 def test_sweep_measures_each_point_set_once(case, monkeypatch):
     # figure 5's sweep and the 500-sample abs study flag many snapshots
     # pole-in-domain, exactly those with a pole in the closed domain, and
-    # their error is inf.  The other rational entries are the sups of one
-    # evaluate_prefixes call on the test grid over the unflagged snapshots,
-    # bit for bit
+    # their error is inf.  The sweep sets up the prefix quotient once, over
+    # the unflagged snapshots, and walks the test grid in blocks; each other
+    # rational entry is, bit for bit, the sup of one evaluate_prefixes call
+    # on the whole grid
     if case == "fig5":
         preset = cli.PRESETS[5]
         fn, domain, degrees = preset.fn, preset.domain, list(preset.degrees)
@@ -563,16 +564,24 @@ def test_sweep_measures_each_point_set_once(case, monkeypatch):
     ref = {m.degree: analysis._sup(tests.values - row) for m, row in
            zip(kept, aaa.evaluate_prefixes(kept, tests.grid))}
 
-    calls = []
-    evaluate_prefixes = aaa.evaluate_prefixes
+    calls, blocks = [], []
+    prefix_evaluator = aaa.prefix_evaluator
 
     def counting(models, z):
         calls.append([m.degree for m in models])
-        return evaluate_prefixes(models, z)
+        evaluate_block = prefix_evaluator(models, z)
 
-    monkeypatch.setattr(aaa, "evaluate_prefixes", counting)
+        def block(rows):
+            blocks.append(np.arange(z.size)[rows])
+            return evaluate_block(rows)
+        return block
+
+    monkeypatch.setattr(aaa, "prefix_evaluator", counting)
     record = sweep()
     assert calls == [list(ref)]
+    # each grid point is evaluated once, in more than one block
+    assert len(blocks) > 1
+    assert np.array_equal(np.concatenate(blocks), np.arange(tests.grid.size))
     got = {e.degree: e for e in record.for_method(analysis.Method.RATIONAL)}
     assert got.keys() == flagged.keys()
     for n, entry in got.items():
