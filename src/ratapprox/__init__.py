@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "aaa": ("BarycentricRational", "FitReport", "aaa_fit", "cleanup",
-            "evaluate", "poles", "residues", "zeros"),
+            "evaluate", "poles", "residues"),
     "analysis": ("ConvergenceRecord", "Method", "RateClass", "classify_rate",
                  "convergence_study", "estimate_sup_error"),
     "geometry": ("Disk", "FunctionSpec", "Horseshoe", "Interval", "SampleSet",

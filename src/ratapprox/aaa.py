@@ -1,4 +1,4 @@
-"""Greedy barycentric rational fitting with pole/zero/residue extraction.
+"""Greedy barycentric rational fitting with pole and residue extraction.
 
 The fitter (aaa_fit) selects support points one at a time at the sample of
 largest current error, solves for barycentric weights as the smallest
@@ -29,24 +29,24 @@ Since the greedy choices do not depend on the stop rule, a fit at a looser
 tol or a lower max_degree is a prefix of a longer trajectory, and truncate
 cuts it out, so one greedy run can serve a degree sweep and a preset fit.
 
-Poles and zeros are the finite eigenvalues of an arrowhead pencil, from
+Poles are the finite eigenvalues of an arrowhead pencil, from
 linalg.arrowhead_eigenvalues: a numpy shift-and-invert eigenvalue solve
 polished by Newton steps.  The arithmetic follows the data: when every
 sample point and value is real, the Loewner and Cauchy matrices, their
-factorizations and the pole/zero pencils are real (float64), and the
-pencils are solved at a real shift, so the poles and zeros of a fit to
-real data come in exactly conjugate pairs.  Models are stored, and
-evaluated, in complex arithmetic either way.
+factorizations and the pole pencil are real (float64), and the pencil is
+solved at a real shift, so the poles of a fit to real data come in
+exactly conjugate pairs.  Models are stored, and evaluated, in complex
+arithmetic either way.
 
-evaluate_prefixes evaluates the models of a trajectory, whose supports are
+prefix_evaluator evaluates the models of a trajectory, whose supports are
 prefixes of the last model's, in the greedy's arithmetic (_cauchy_sums):
 one Cauchy matrix 1 / (z - z_k) per point set, and two matrix products for
-all models, real when the data are.  It is a setup and one step:
-prefix_evaluator pads the weights, takes the scales and chooses the
-arithmetic once for a point set, and returns the step, which evaluates a
-slice of the points on that slice's Cauchy matrix, so a caller can walk a
-large point set in blocks.  evaluate keeps its own quotient for one model,
-with the weights divided into z - z_k; the two agree to rounding.
+all models, real when the data are.  It is a setup and one step: it pads
+the weights, takes the scales and chooses the arithmetic once for a point
+set, and returns the step, which evaluates a slice of the points on that
+slice's Cauchy matrix, so a caller can walk a large point set in blocks.
+evaluate keeps its own quotient for one model, with the weights divided
+into z - z_k; the two agree to rounding.
 
 The greedy, cleanup and evaluate divide the values, and residues the
 pole-to-support differences, by an exact power of two near the values' or
@@ -133,7 +133,7 @@ def evaluate(r, z):
     values divided by t = pow2_scale(values), and multiplies by t exactly.
     A point that is numerically a pole (zero denominator, nonzero
     numerator) yields an explicit complex infinity.  Sample errors of fits
-    (cleanup's final_error) come from here; evaluate_prefixes gives the
+    (cleanup's final_error) come from here; prefix_evaluator gives the
     same quotient for many models at once, to rounding.
     """
     zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
@@ -153,17 +153,11 @@ def evaluate(r, z):
     return out.reshape(np.shape(z))
 
 
-def evaluate_prefixes(models, z):
-    """Row i of the (len(models), z.size) result is models[i] at the
-    flattened points z, equal to evaluate(models[i], z) to rounding: the
-    prefix_evaluator of models on z, run on all of z at once."""
-    return prefix_evaluator(models, z)(slice(None))
-
-
 def prefix_evaluator(models, z):
-    """The setup of evaluate_prefixes(models, z), run once: a function that
-    takes a slice of the flattened points z and returns the rows of
-    evaluate_prefixes(models, z[slice]).
+    """The models' evaluator on the flattened points z: a function that
+    takes a slice of those points and returns the (len(models), slice
+    size) array whose row i is models[i] there, equal to
+    evaluate(models[i], z[slice]) to rounding.
 
     Each model's supports must be a prefix of the last model's, as along a
     greedy trajectory; raises ValueError otherwise.  The quotient is the
@@ -221,7 +215,7 @@ def _cauchy_sums(C, W, WF):
     sum_k W[k] C[:, k] at the points, the rows of the Cauchy matrix C =
     1 / (z - z_k): (models x points) products for W and WF with one column
     per model, and for vectors one sum per point.  The greedy's quotient,
-    shared with evaluate_prefixes."""
+    shared with prefix_evaluator."""
     return WF.T @ C.T, W.T @ C.T
 
 
@@ -365,14 +359,6 @@ def poles(r):
     if r.degree < 1:
         raise ValueError("a degree-0 model has no poles")
     return linalg.arrowhead_eigenvalues(*_real_if_exact(r.supports, r.weights))
-
-
-def zeros(r):
-    """Zeros of r: same pencil with the weighted values in the first row."""
-    if r.degree < 1:
-        return np.empty(0, dtype=complex)
-    return linalg.arrowhead_eigenvalues(
-        *_real_if_exact(r.supports, r.weights * r.values))
 
 
 def residues(r, pole_list):

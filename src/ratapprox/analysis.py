@@ -10,9 +10,12 @@ there, and their max errors are folded into a running max, so no array
 spans the whole grid.  A sweep measures its rational entries in one such
 fold of an aaa.prefix_evaluator, set up once over the snapshots with no
 pole in the closed domain; an entry with one reads inf.  Its polynomial
-entries come from one fold in which each block regenerates the Arnoldi
-basis at its points and multiplies it with the coefficients of every
-degree."""
+entries come from one fold (_poly_sups) in which each block regenerates
+the Arnoldi basis at its points and multiplies it with the coefficients of
+every degree.  estimate_sup_error measures one model through the same
+code: a rational one as a sweep's rational entry, and a polynomial as a
+sweep's polynomial entry, so a basis that overflows on the grid reads
+inf, with no warning."""
 
 from __future__ import annotations
 
@@ -159,14 +162,46 @@ def sup_errors_on(models, tests):
             for flag in flags]
 
 
+def _poly_sups(pmodel, degrees, tests):
+    """The sup over tests, a GridValues, of pmodel's degree-n truncation
+    for each n of degrees, increasing and at most pmodel.degree.
+
+    One fold over blocks of the test grid (_sups): each block regenerates
+    the basis at its points, and one product of it with the (degrees x
+    columns) matrix of zero-padded coefficient prefixes gives the values
+    there at every degree.  The basis can overflow on the grid at high
+    degree: a block whose basis has a non-finite entry in column c first
+    gives inf for every degree >= c, so a degree reads inf exactly when it
+    reaches a column with a non-finite entry anywhere on the grid.
+    """
+    A = np.zeros((len(degrees), pmodel.degree + 1), dtype=complex)
+    for row, n in zip(A, degrees):
+        row[: n + 1] = pmodel.coeffs[: n + 1]
+
+    def values_at(rows):
+        # the product spans the columns before c, where no zero
+        # coefficient meets an inf
+        W = polyfit.va_basis(pmodel, tests.grid[rows])
+        c = int(np.logical_and.accumulate(np.isfinite(W).all(axis=0)).sum())
+        k = int(np.searchsorted(degrees, c))  # the degrees below c
+        V = np.empty((len(degrees), W.shape[0]), dtype=complex)
+        np.matmul(A[:k, :c], W[:, :c].T, out=V[:k])
+        V[k:] = np.inf
+        return V
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sups(tests, len(degrees), values_at)
+
+
 def estimate_sup_error(f, approximant, domain):
-    """The SupError of approximant on the grid_values of f on domain, built
-    for this call; a rational approximant's comes from sup_errors_on, and
-    any other's from one fold (_sups) of its values on each block."""
+    """The SupError of approximant, a rational or polynomial model, on the
+    grid_values of f on domain, built for this call: a rational model's
+    comes from sup_errors_on and a polynomial's from _poly_sups, each as a
+    degree_sweep entry's does."""
     tests = grid_values(f, domain)
     if isinstance(approximant, BarycentricRational):
         return sup_errors_on([approximant], tests)[0]
-    (sup,) = _sups(tests, 1, lambda rows: approximant(tests.grid[rows])[None])
+    (sup,) = _poly_sups(approximant, [approximant.degree], tests)
     return SupError(float(sup), False)
 
 
@@ -183,13 +218,8 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
     samples allow, samples - 1: the Arnoldi basis is nested, so degree n
     uses the first n+1 basis columns and coefficients.  The fit stops at
     the last degree its points determine, and degrees above the fit's
-    degree get no polynomial entry.  Their sups are one fold over blocks of
-    the test grid (_sups): each block regenerates the basis at its points,
-    and one product of it with the (degrees x columns) matrix of
-    zero-padded coefficient prefixes gives the values there at every
-    degree.  A block whose basis has a non-finite entry in column c first
-    gives inf for every degree >= c, so a degree reads inf exactly when it
-    reaches a column with a non-finite entry anywhere on the grid.
+    degree get no polynomial entry.  Their sups come from one _poly_sups
+    fold, which reads inf for a degree whose basis overflows on the grid.
     Errors below tol_floor relative to max|values| are kept but flagged
     "floor", and errors that are not finite are flagged "overflow".  A
     rational entry with a pole in the closed domain is flagged
@@ -203,26 +233,8 @@ def degree_sweep(degrees, tol_floor, samples, trajectory, tests):
         pmodel = polyfit.va_fit(samples, poly_degrees[-1])
         poly_degrees = [n for n in poly_degrees if n <= pmodel.degree]
     if poly_degrees:
-        A = np.zeros((len(poly_degrees), pmodel.degree + 1), dtype=complex)
-        for row, n in zip(A, poly_degrees):
-            row[: n + 1] = pmodel.coeffs[: n + 1]
-
-        def values_at(rows):
-            # the basis can overflow on the grid at high degree: in a block
-            # whose basis has a non-finite entry in column c first, every
-            # degree >= c reads inf, and the product spans the columns
-            # before c, where no zero coefficient meets an inf
-            W = polyfit.va_basis(pmodel, tests.grid[rows])
-            c = int(np.logical_and.accumulate(np.isfinite(W).all(axis=0)).sum())
-            k = int(np.searchsorted(poly_degrees, c))  # the degrees below c
-            V = np.empty((len(poly_degrees), W.shape[0]), dtype=complex)
-            np.matmul(A[:k, :c], W[:, :c].T, out=V[:k])
-            V[k:] = np.inf
-            return V
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            perr = dict(zip(poly_degrees, map(float, _sups(
-                tests, len(poly_degrees), values_at))))
+        perr = dict(zip(poly_degrees, map(float, _poly_sups(
+            pmodel, poly_degrees, tests))))
 
     swept = set(degrees)
     models = [m for m in trajectory.snapshots if m.degree in swept]

@@ -45,7 +45,7 @@ if not any(var in os.environ for var in _BLAS_THREAD_VARS):
 import numpy as np
 
 from . import aaa as aaa_mod
-from . import analysis, geometry, polyfit, potential, svgplot
+from . import analysis, geometry, potential, svgplot
 from .aaa import BarycentricRational
 from .analysis import Method
 from .geometry import Disk, FunctionSpec, Horseshoe, Interval
@@ -302,24 +302,6 @@ def _rate_class_json(record, method):
     return out
 
 
-def _pole_diagnostics(pole_list):
-    p = np.asarray(pole_list, dtype=complex)
-    out = {"count": int(p.size)}
-    if p.size:
-        out["min_modulus"] = float(np.min(np.abs(p)))
-        out["max_modulus"] = float(np.max(np.abs(p)))
-        im = np.abs(p.imag)
-        re = np.abs(p.real)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(im > 0, re / np.where(im > 0, im, 1.0), np.inf)
-        out["median_abs_re_over_im"] = float(np.median(ratio))
-        im_pos = im[im > 0]
-        out["im_span_orders"] = (
-            float(np.log10(im_pos.max() / im_pos.min())) if im_pos.size else 0.0
-        )
-    return out
-
-
 def run_figure(figure_id, out_dir):
     """Run one preset experiment; emits convergence.csv, model.json,
     potential.svg, and report.json into out_dir."""
@@ -372,7 +354,6 @@ def run_figure(figure_id, out_dir):
             "rate_class": _rate_class_json(record, Method.POLYNOMIAL),
         },
         "poles": _complex_pairs(pole_list),
-        "pole_diagnostics": _pole_diagnostics(pole_list),
         "potential_gap": potential.potential_gap(field),
     }
 

@@ -122,19 +122,6 @@ def test_pole_count_equals_degree(exp_disk_fit):
     assert p.tobytes() == aaa.poles(m).tobytes()
 
 
-def test_zeros_of_linear_data():
-    pts = circle(100)
-    s = SampleSet(pts, pts - 0.5)
-    rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-12, max_degree=10), s)
-    zs = aaa.zeros(rep.model)
-    assert np.min(np.abs(zs - 0.5)) < 1e-10
-
-
-def test_zeros_exp_model_avoid_disk(exp_disk_fit):
-    zs = aaa.zeros(exp_disk_fit.model)
-    assert np.all(np.abs(zs) > 1.0)
-
-
 def test_residue_ignores_analytic_part():
     pts = circle(200)
     for shift in (0.0, 3.0):
@@ -212,7 +199,7 @@ def _matched_gap(got, want, scale):
        b=st.complex_numbers(max_magnitude=10))
 def test_affine_map_of_supports_maps_poles_and_zeros(seed, d, a_abs, a_arg, b):
     # r'(z) = r((z - b)/a) has supports a z_k + b and the same values and
-    # weights, so its poles and zeros are a p + b; rtol is relative to
+    # weights, so its poles are a p + b; rtol is relative to
     # |a| max(1, |p|) + |b|, the size of the mapped pencil and pole (the
     # largest gap over 3000 random draws was 3e-15)
     rtol = 1e-12
@@ -223,12 +210,11 @@ def test_affine_map_of_supports_maps_poles_and_zeros(seed, d, a_abs, a_arg, b):
     a = a_abs * np.exp(1j * a_arg)
     r = aaa.BarycentricRational(z, f, w)
     mapped = aaa.BarycentricRational(a * z + b, f, w)
-    for solve in (aaa.poles, aaa.zeros):
-        p, q = solve(r), solve(mapped)
-        assert p.size == q.size
-        if p.size:
-            scale = np.abs(a) * np.maximum(1, np.abs(p)) + abs(b)
-            assert _matched_gap(q, a * p + b, scale) <= rtol
+    p, q = aaa.poles(r), aaa.poles(mapped)
+    assert p.size == q.size
+    if p.size:
+        scale = np.abs(a) * np.maximum(1, np.abs(p)) + abs(b)
+        assert _matched_gap(q, a * p + b, scale) <= rtol
 
 
 def _vectors(real, n, unique=False):
@@ -251,7 +237,7 @@ def test_interpolation_property(data, real, n):
 
 def _reference_evaluate(r, z):
     """The barycentric quotient as evaluate computed it for one model alone,
-    before it became the one-model case of evaluate_prefixes."""
+    before it shared the greedy's quotient with prefix_evaluator."""
     zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     with np.errstate(all="ignore"):
         D = zv[:, None] - r.supports[None, :]
@@ -320,7 +306,7 @@ def test_evaluate_prefixes_matches_evaluate_to_rounding(seed, real,
                                                         n_supports, data):
     # the points include every support, so each model meets hits inside
     # its prefix and outside it.  evaluate keeps its own arithmetic, bit for
-    # bit; evaluate_prefixes runs the greedy's, so its rows agree with
+    # bit; prefix_evaluator runs the greedy's, so its rows agree with
     # evaluate to the rounding bound off the supports, and exactly at
     # support hits inside a model's prefix and at the exact pole
     rng = np.random.default_rng(seed)
@@ -329,7 +315,7 @@ def test_evaluate_prefixes_matches_evaluate_to_rounding(seed, real,
     models, vec = _prefix_models(rng, real, sizes)
     z = models[-1].supports
     pts = np.concatenate([vec(50), z, [0.5]])
-    rows = aaa.evaluate_prefixes(models, pts)
+    rows = aaa.prefix_evaluator(models, pts)(slice(None))
     assert rows.shape == (len(models), pts.size)
     assert np.isinf(rows[0, -1])
     off = slice(0, 50)
@@ -352,16 +338,16 @@ def test_evaluate_prefixes_matches_evaluate_to_rounding(seed, real,
     j = int(np.argmax(np.abs(m.weights)))
     w = m.weights.copy()
     w[j] *= 1 + 1e-8
-    moved = aaa.evaluate_prefixes([aaa.BarycentricRational(z, m.values, w)],
-                                  pts[off])[0]
+    moved = aaa.prefix_evaluator([aaa.BarycentricRational(z, m.values, w)],
+                                 pts[off])(slice(None))[0]
     assert np.any(np.abs(moved - _reference_evaluate(m, pts[off]))
                   > _rounding_bound(m, pts[off]))
     # the supports must be prefixes of the last model's
     with pytest.raises(ValueError):
-        aaa.evaluate_prefixes(models[::-1], pts)
+        aaa.prefix_evaluator(models[::-1], pts)
     shifted = aaa.BarycentricRational(z[1:3], m.values[1:3], np.ones(2))
     with pytest.raises(ValueError):
-        aaa.evaluate_prefixes([shifted, models[-1]], pts)
+        aaa.prefix_evaluator([shifted, models[-1]], pts)
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -371,7 +357,7 @@ def test_evaluate_prefixes_at_supports_beyond_a_prefix(real):
     # weight forms no 0 * inf, and its value is the quotient's, to rounding
     models, _ = _prefix_models(np.random.default_rng(7), real, [2, 5, 9, 14])
     z = models[-1].supports
-    rows = aaa.evaluate_prefixes(models, z)
+    rows = aaa.prefix_evaluator(models, z)(slice(None))
     for m, row in zip(models, rows):
         k = m.supports.size
         beyond = row[k:]
@@ -594,11 +580,10 @@ def _conjugation_gap(v):
 def test_real_data_poles_and_zeros_are_conjugate_pairs():
     s = _abs_interval_samples()
     rep = aaa.cleanup(aaa.aaa_fit(s, tol=1e-8, max_degree=60), s)
-    p, z = aaa.poles(rep.model), aaa.zeros(rep.model)
-    assert p.size == z.size == rep.model.degree
-    assert np.count_nonzero(p.imag) > 0 and np.count_nonzero(z.imag) > 0
+    p = aaa.poles(rep.model)
+    assert p.size == rep.model.degree
+    assert np.count_nonzero(p.imag) > 0
     assert _conjugation_gap(p) <= 4 * np.finfo(float).eps
-    assert _conjugation_gap(z) <= 4 * np.finfo(float).eps
 
 
 @functools.cache
@@ -681,15 +666,6 @@ def test_poles_and_zeros_against_qz_and_a_40_digit_oracle(name):
     err, err_qz = cost[rows, cols], np.abs(p_qz - ref)[cols]
     assert np.all(err <= np.maximum(err_qz, 2 * eps * np.abs(ref[cols])))
     assert _backward_error(p, z, w).max() <= 4 * eps
-    # zeros: at rounding level where QZ's are; the clustered near-multiple
-    # zeros of figure 5's |x| fits are near 1e-9 in both solves, and this
-    # one's is up to 2.9 times QZ's (at degree 48) over the 78 models whose
-    # poles the figures solve (6 returned models, 72 sweep snapshots)
-    z, wf = aaa._real_if_exact(r.supports, r.weights * r.values)
-    zr, zr_qz = aaa.zeros(r), _qz_roots(z, wf)
-    assert zr.size == zr_qz.size
-    assert (_backward_error(zr, z, wf).max()
-            <= 4 * max(eps, _backward_error(zr_qz, z, wf).max()))
 
 
 def _degree_d_data(seed, d, real):

@@ -224,6 +224,22 @@ def abs300_study():
     return samples, tests, sweep, sweep(tests)
 
 
+@pytest.mark.parametrize("degree", [176, 200])
+def test_sup_error_of_an_overflowing_polynomial_is_inf(abs300_study, degree):
+    # past column 175 the basis overflows on the test grid: estimate_sup_error
+    # measures the polynomial as the sweep does, so it reads inf, as the
+    # sweep's overflow entry does, and warns nothing (a RuntimeWarning
+    # fails the test)
+    samples, _, _, record = abs300_study
+    m = polyfit.va_fit(samples, degree)
+    assert m.degree == degree
+    (entry,) = [e for e in record.for_method(Method.POLYNOMIAL)
+                if e.degree == degree]
+    assert (entry.error, entry.flag) == (np.inf, "overflow")
+    assert estimate_sup_error(FunctionSpec.ABS_VAL, m,
+                              Interval(-1.0, 1.0)) == (np.inf, False)
+
+
 @pytest.mark.parametrize("order", ["overflow-first", "shuffled"])
 def test_sweep_errors_do_not_depend_on_block_boundaries(abs300_study, order):
     # the sweep folds each block's sups into a running max, so permuting

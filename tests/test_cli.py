@@ -531,7 +531,7 @@ def test_sweep_measures_each_point_set_once(case, monkeypatch):
     # pole-in-domain, exactly those with a pole in the closed domain, and
     # their error is inf.  The sweep sets up the prefix quotient once, over
     # the unflagged snapshots, and walks the test grid in blocks; each other
-    # rational entry is, bit for bit, the sup of one evaluate_prefixes call
+    # rational entry is, bit for bit, the sup of one prefix_evaluator call
     # on the whole grid
     if case == "fig5":
         preset = cli.PRESETS[5]
@@ -562,7 +562,7 @@ def test_sweep_measures_each_point_set_once(case, monkeypatch):
     assert not all(flagged.values())
     kept = [m for m in swept if not flagged[m.degree]]
     ref = {m.degree: analysis._sup(tests.values - row) for m, row in
-           zip(kept, aaa.evaluate_prefixes(kept, tests.grid))}
+           zip(kept, aaa.prefix_evaluator(kept, tests.grid)(slice(None)))}
 
     calls, blocks = [], []
     prefix_evaluator = aaa.prefix_evaluator

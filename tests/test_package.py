@@ -13,7 +13,7 @@ def test_import_loads_neither_numpy_nor_scipy(run_python):
 
 
 def test_every_export_is_its_module_attribute():
-    assert len(ra.__all__) == len(set(ra.__all__)) == 32
+    assert len(ra.__all__) == len(set(ra.__all__)) == 31
     listed = set(dir(ra))
     for module, names in ra._EXPORTS.items():
         mod = importlib.import_module(f"ratapprox.{module}")
