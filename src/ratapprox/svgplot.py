@@ -1,14 +1,15 @@
 """Dependency-free SVG rendering of potential fields.
 
 Contour segments are extracted from the gridded log10|phi| values by
-marching squares at the field's integer levels.  The corner codes and edge
-crossings of all cells are computed as numpy arrays; only the cells that a
-level crosses are visited in Python, in row-major order, to pick their
-edge pairs (saddle cells split on the cell-center mean).  Poles are drawn
-as red markers, supports as yellow markers, the domain boundary in black,
-and a labeled vertical colorbar shows the level scale.  Output is
-byte-stable: all coordinates are formatted with a fixed precision and
-iteration order.
+marching squares at the field's integer levels.  No cell is visited in
+Python: the corner codes, edge crossings and cell-center means are numpy
+arrays, and one edge-pair table indexed by corner code and center side
+gives each crossed cell its one or two segments (saddle cells split on the
+cell-center mean).  Poles are drawn as red markers, supports as yellow
+markers, the domain boundary in black, and a labeled vertical colorbar,
+one rect filled with a two-stop linear gradient, shows the level scale.
+Output is byte-stable: all coordinates are formatted with a fixed
+precision and iteration order.
 """
 
 from __future__ import annotations
@@ -20,26 +21,24 @@ from . import geometry
 # plot width in pixels; the height follows the window's aspect ratio
 PLOT_WIDTH = 640
 
-# cell-edge pairs crossed for each of the 16 corner sign patterns;
+# the edge pairs a cell's level set crosses, indexed by corner code
+# + 16 * (cell-center mean > level); a (0, 0) pad means no second pair.
 # edges: 0 bottom, 1 right, 2 top, 3 left; corners: (i,j),(i+1,j),(i+1,j+1),(i,j+1)
-_CASES = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
-    11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(3, 0)],
-}
-# saddle codes: pairs when the cell-center mean is below / above the level
-_SADDLE_CASES = {
-    5: ([(3, 2), (1, 0)], [(3, 0), (1, 2)]),
-    10: ([(0, 3), (2, 1)], [(0, 1), (2, 3)]),
-}
+_PAIRS = np.zeros((32, 2, 2), dtype=np.intp)
+_PAIRS[:, 0] = 2 * [(0, 0), (3, 0), (0, 1), (3, 1), (1, 2), (0, 0), (0, 2), (3, 2),
+                    (2, 3), (0, 2), (0, 0), (1, 2), (1, 3), (0, 1), (3, 0), (0, 0)]
+# saddle codes 5 and 10 with the center below, then above the level
+_PAIRS[[5, 10, 21, 26]] = [[(3, 2), (1, 0)], [(0, 3), (2, 1)],
+                           [(3, 0), (1, 2)], [(0, 1), (2, 3)]]
 
 
 def marching_squares(xs, ys, grid, level):
     """Line segments of the level set {grid == level} on a regular grid.
 
-    grid is indexed [j, i] for point (xs[i], ys[j]).  Returns a list of
-    ((x1, y1), (x2, y2)) segments in data coordinates, cell by cell in
-    row-major order.
+    grid is indexed [j, i] for point (xs[i], ys[j]).  Returns an (n, 4)
+    float array of segments (x1, y1, x2, y2) in data coordinates, cell by
+    cell in row-major order, a saddle cell's two segments next to each
+    other.
     """
     g = np.asarray(grid, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -49,29 +48,20 @@ def marching_squares(xs, ys, grid, level):
     for k, c in enumerate(corners):
         code |= (c > level).astype(np.uint8) << k
     jj, ii = np.nonzero((code != 0) & (code != 15))
-    v = [c[jj, ii] for c in corners]
+    v0, v1, v2, v3 = (c[jj, ii] for c in corners)
+    with np.errstate(invalid="ignore"):  # NaN at opposite infinite corners
+        center_above = (v0 + v1 + v2 + v3) / 4 > level
     x0, x1 = xs[ii], xs[ii + 1]
     y0, y1 = ys[jj], ys[jj + 1]
-    t0 = _fracs(v[0], v[1], level)
-    t1 = _fracs(v[1], v[2], level)
-    t2 = _fracs(v[3], v[2], level)
-    t3 = _fracs(v[0], v[3], level)
-    points = [
-        list(zip((x0 + t0 * (x1 - x0)).tolist(), y0.tolist())),
-        list(zip(x1.tolist(), (y0 + t1 * (y1 - y0)).tolist())),
-        list(zip((x0 + t2 * (x1 - x0)).tolist(), y1.tolist())),
-        list(zip(x0.tolist(), (y0 + t3 * (y1 - y0)).tolist())),
-    ]
-    segments = []
-    for k, c in enumerate(code[jj, ii].tolist()):
-        if c in _SADDLE_CASES:  # split on the cell-center mean
-            center_above = np.mean([vc[k] for vc in v]) > level
-            pairs = _SADDLE_CASES[c][bool(center_above)]
-        else:
-            pairs = _CASES[c]
-        for e1, e2 in pairs:
-            segments.append((points[e1][k], points[e2][k]))
-    return segments
+    # crossing point of each edge, edge-major: ex[e, cell], ey[e, cell]
+    ex = np.array([x0 + _fracs(v0, v1, level) * (x1 - x0), x1,
+                   x0 + _fracs(v3, v2, level) * (x1 - x0), x0])
+    ey = np.array([y0, y0 + _fracs(v1, v2, level) * (y1 - y0),
+                   y1, y0 + _fracs(v0, v3, level) * (y1 - y0)])
+    pairs = _PAIRS[code[jj, ii] + 16 * center_above]
+    cell, k = np.nonzero(pairs[:, :, 0] != pairs[:, :, 1])
+    a, b = pairs[cell, k].T
+    return np.column_stack([ex[a, cell], ey[a, cell], ex[b, cell], ey[b, cell]])
 
 
 def _fracs(a, b, level):
@@ -91,10 +81,6 @@ def _level_color(t):
     g = int(round(60 + t * (220 - 60)))
     b = int(round(170 - t * (170 - 40)))
     return f"#{r:02x}{g:02x}{b:02x}"
-
-
-def _fmt(x):
-    return f"{x:.2f}"
 
 
 def plot_height(window):
@@ -133,12 +119,11 @@ def render_potential_svg(field, domain=None):
     for level in field.levels:
         color = _level_color((float(level) - lmin) / span)
         segs = marching_squares(xs, ys, field.log_abs_phi, float(level))
-        if not segs:
+        if not len(segs):
             continue
-        d = "".join(
-            f"M{_fmt(px(a[0]))} {_fmt(py(a[1]))}L{_fmt(px(b[0]))} {_fmt(py(b[1]))}"
-            for a, b in segs
-        )
+        segs[:, 0::2] = px(segs[:, 0::2])
+        segs[:, 1::2] = py(segs[:, 1::2])
+        d = "M%.2f %.2fL%.2f %.2f" * len(segs) % tuple(segs.ravel().tolist())
         parts.append(
             f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1"/>'
         )
@@ -147,7 +132,7 @@ def render_potential_svg(field, domain=None):
         bpts = geometry.boundary_samples(domain, 400)
         closed = not isinstance(domain, geometry.Interval)
         d = "M" + "L".join(
-            f"{_fmt(px(p.real))} {_fmt(py(p.imag))}" for p in bpts
+            f"{px(p.real):.2f} {py(p.imag):.2f}" for p in bpts
         )
         if closed:
             d += "Z"
@@ -157,39 +142,33 @@ def render_potential_svg(field, domain=None):
 
     for p in field.pole_list:
         parts.append(
-            f'<circle cx="{_fmt(px(p.real))}" cy="{_fmt(py(p.imag))}" r="4" '
+            f'<circle cx="{px(p.real):.2f}" cy="{py(p.imag):.2f}" r="4" '
             f'fill="#d62728" stroke="black" stroke-width="0.5"/>'
         )
     for s in field.supports:
         parts.append(
-            f'<circle cx="{_fmt(px(s.real))}" cy="{_fmt(py(s.imag))}" r="3.5" '
+            f'<circle cx="{px(s.real):.2f}" cy="{py(s.imag):.2f}" r="3.5" '
             f'fill="#ffd500" stroke="black" stroke-width="0.5"/>'
         )
 
     # colorbar
     bar_x = plot_w + 2 * margin
-    n_strip = 64
-    for k in range(n_strip):
-        t = 1.0 - k / (n_strip - 1)
-        y_top = margin + k * plot_h / n_strip
-        parts.append(
-            f'<rect x="{bar_x}" y="{_fmt(y_top)}" width="{bar_w}" '
-            f'height="{_fmt(plot_h / n_strip + 0.5)}" '
-            f'fill="{_level_color(t)}"/>'
-        )
     parts.append(
+        f'<linearGradient id="bar" x1="0" y1="1" x2="0" y2="0">'
+        f'<stop offset="0" stop-color="{_level_color(0.0)}"/>'
+        f'<stop offset="1" stop-color="{_level_color(1.0)}"/></linearGradient>'
         f'<rect x="{bar_x}" y="{margin}" width="{bar_w}" height="{plot_h}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
+        f'fill="url(#bar)" stroke="black" stroke-width="1"/>'
     )
     for level in field.levels:
         t = (float(level) - lmin) / span
         y = margin + (1.0 - t) * plot_h
         parts.append(
-            f'<line x1="{bar_x + bar_w}" y1="{_fmt(y)}" '
-            f'x2="{bar_x + bar_w + 5}" y2="{_fmt(y)}" stroke="black"/>'
+            f'<line x1="{bar_x + bar_w}" y1="{y:.2f}" '
+            f'x2="{bar_x + bar_w + 5}" y2="{y:.2f}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{bar_x + bar_w + 8}" y="{_fmt(y + 4)}" '
+            f'<text x="{bar_x + bar_w + 8}" y="{y + 4:.2f}" '
             f'font-family="sans-serif" font-size="12">{int(level)}</text>'
         )
     parts.append("</svg>")

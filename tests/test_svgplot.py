@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,17 +15,16 @@ def test_marching_squares_circle_level():
     ys = np.linspace(-2, 2, 81)
     grid = xs[None, :] ** 2 + ys[:, None] ** 2
     segs = svgplot.marching_squares(xs, ys, grid, 1.0)
-    assert segs
-    for (x1, y1), (x2, y2) in segs:
-        for x, y in ((x1, y1), (x2, y2)):
-            assert abs(np.hypot(x, y) - 1.0) < 0.05
+    assert segs.shape[0] > 0 and segs.shape[1] == 4
+    for x, y in (segs[:, 0:2].T, segs[:, 2:4].T):
+        assert np.all(np.abs(np.hypot(x, y) - 1.0) < 0.05)
 
 
 def test_marching_squares_no_crossings():
     xs = np.linspace(0, 1, 10)
     ys = np.linspace(0, 1, 10)
     grid = np.zeros((10, 10))
-    assert svgplot.marching_squares(xs, ys, grid, 5.0) == []
+    assert svgplot.marching_squares(xs, ys, grid, 5.0).shape == (0, 4)
 
 
 # per-cell marching squares, kept as the reference the array version must
@@ -89,6 +90,11 @@ def _reference_marching_squares(xs, ys, grid, level):
     return segments
 
 
+def _reference_rows(xs, ys, grid, level):
+    """The reference segments as (x1, y1, x2, y2) rows."""
+    return [[*a, *b] for a, b in _reference_marching_squares(xs, ys, grid, level)]
+
+
 def _oracle_input(kind, ny, nx, seed):
     """Axes, grid and level of one oracle case."""
     rng = np.random.default_rng(seed)
@@ -121,9 +127,9 @@ _ORACLE_CASES = [
 def test_marching_squares_matches_reference(kind, ny, nx, seed):
     xs, ys, grid, level = _oracle_input(kind, ny, nx, seed)
     segs = svgplot.marching_squares(xs, ys, grid, level)
-    assert segs == _reference_marching_squares(xs, ys, grid, level)
+    assert segs.tolist() == _reference_rows(xs, ys, grid, level)
     if kind == "flat" or 1 in (ny, nx):
-        assert segs == []
+        assert segs.shape == (0, 4)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -148,8 +154,8 @@ def test_oracle_inputs_exercise_saddles():
 def test_marching_squares_matches_reference_property(seed, ny, nx, integer):
     xs, ys, grid, level = _oracle_input(
         "integer" if integer else "real", ny, nx, seed)
-    assert (svgplot.marching_squares(xs, ys, grid, level)
-            == _reference_marching_squares(xs, ys, grid, level))
+    assert (svgplot.marching_squares(xs, ys, grid, level).tolist()
+            == _reference_rows(xs, ys, grid, level))
 
 
 def test_render_svg_structure():
@@ -159,3 +165,53 @@ def test_render_svg_structure():
     assert svg.count("<circle") == 3          # 1 pole + 2 supports
     assert "<path" in svg and "<text" in svg  # contours and colorbar labels
     assert svg == svgplot.render_potential_svg(f, Disk(0j, 1.0))  # stable
+
+
+def test_render_svg_pins_contour_bytes_and_gradient_colorbar():
+    # phi = (z^2 - 2i) / (z^2 + 2i) has a saddle of log10|phi| at 0 on level
+    # 0, in a saddle cell; each contour path must keep the bytes of one
+    # f-string per reference segment
+    f = potential_grid([1 + 1j, -1 - 1j], [1 - 1j, -1 + 1j], (-3, 3, -3, 3),
+                       (64, 64))
+    g = f.log_abs_phi
+    assert 10 in [_cell_code(_cell_values(g, j, i), 0.0)
+                  for j in range(63) for i in range(63)]
+    svg = svgplot.render_potential_svg(f, Disk(0j, 1.0))
+    xmin, xmax, ymin, ymax = f.window
+    plot_h = int(round(svgplot.plot_height(f.window)))
+
+    def px(x):
+        return 40 + (x - xmin) / (xmax - xmin) * svgplot.PLOT_WIDTH
+
+    def py(y):
+        return 40 + (ymax - y) / (ymax - ymin) * plot_h
+
+    xs, ys = f.cell_centers()
+    expected = []
+    for level in f.levels:
+        segs = _reference_marching_squares(xs, ys, g, float(level))
+        if segs:
+            expected.append("".join(
+                f"M{px(a[0]):.2f} {py(a[1]):.2f}L{px(b[0]):.2f} {py(b[1]):.2f}"
+                for a, b in segs))
+    contours = re.findall(r'<path d="([^"]*)" fill="none" stroke="#', svg)
+    assert contours == expected
+
+    lo, hi = svgplot._level_color(0.0), svgplot._level_color(1.0)
+    assert svg.count("<linearGradient") == 1
+    assert re.findall(r'<stop offset="[01]" stop-color="([^"]*)"/>', svg) == [lo, hi]
+    rects = re.findall(r"<rect [^>]*>", svg)
+    assert len(rects) == 2                     # background and colorbar
+    assert 'fill="white"' in rects[0] and 'fill="url(#bar)"' in rects[1]
+
+
+def test_level_color_is_affine_within_rounding():
+    # the colorbar's two-stop gradient is the colormap only while each
+    # channel of _level_color is linear in t up to rounding
+    def channels(t):
+        c = svgplot._level_color(t)
+        return np.array([int(c[k:k + 2], 16) for k in (1, 3, 5)])
+
+    lo, hi = channels(0.0), channels(1.0)
+    for t in np.linspace(0.0, 1.0, 1001):
+        assert np.all(np.abs(channels(t) - (lo + t * (hi - lo))) <= 0.5)
