@@ -1,23 +1,31 @@
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratapprox import svgplot
+from ratapprox import cli, svgplot
 from ratapprox.geometry import Disk
 from ratapprox.potential import potential_grid
 
 
-def test_marching_squares_circle_level():
+def _circle_input():
     # level set of f(x,y) = x^2 + y^2 at 1 is the unit circle
     xs = np.linspace(-2, 2, 81)
     ys = np.linspace(-2, 2, 81)
-    grid = xs[None, :] ** 2 + ys[:, None] ** 2
-    segs = svgplot.marching_squares(xs, ys, grid, 1.0)
+    return xs, ys, xs[None, :] ** 2 + ys[:, None] ** 2, 1.0
+
+
+def test_marching_squares_circle_level():
+    segs = svgplot.marching_squares(*_circle_input())
     assert segs.shape[0] > 0 and segs.shape[1] == 4
     for x, y in (segs[:, 0:2].T, segs[:, 2:4].T):
         assert np.all(np.abs(np.hypot(x, y) - 1.0) < 0.05)
+    # one closed chain, running clockwise: the values above 1 on its left
+    assert _chain_count(segs) == 1 and segs[-1, 2:].tolist() == segs[0, :2].tolist()
+    x1, y1, x2, y2 = segs.T
+    assert np.sum(x1 * y2 - x2 * y1) < 0
 
 
 def test_marching_squares_no_crossings():
@@ -90,9 +98,38 @@ def _reference_marching_squares(xs, ys, grid, level):
     return segments
 
 
-def _reference_rows(xs, ys, grid, level):
-    """The reference segments as (x1, y1, x2, y2) rows."""
-    return [[*a, *b] for a, b in _reference_marching_squares(xs, ys, grid, level)]
+def _undirected(segments):
+    """Segments (a, b), in any order and direction, as a sorted list of
+    (min(a, b), max(a, b))."""
+    return sorted(tuple(sorted((tuple(a), tuple(b)))) for a, b in segments)
+
+
+def _undirected_rows(rows):
+    """Rows (x1, y1, x2, y2) as _undirected segments."""
+    return _undirected((r[:2], r[2:]) for r in rows.tolist())
+
+
+def _chain_count(rows):
+    """Chains in the rows: 1 + the rows that do not start where the row
+    before them ends."""
+    if not len(rows):
+        return 0
+    return 1 + int(np.sum(np.any(rows[1:, :2] != rows[:-1, 2:], axis=1)))
+
+
+def _component_count(rows):
+    """Connected components of the graph whose nodes are the rows'
+    endpoints and whose edges are the rows (union-find)."""
+    parent = {}
+
+    def root(p):
+        while parent.setdefault(p, p) != p:
+            p = parent[p]
+        return p
+
+    for r in rows.tolist():
+        parent[root(tuple(r[:2]))] = root(tuple(r[2:]))
+    return len({root(p) for p in list(parent)})
 
 
 def _oracle_input(kind, ny, nx, seed):
@@ -127,9 +164,44 @@ _ORACLE_CASES = [
 def test_marching_squares_matches_reference(kind, ny, nx, seed):
     xs, ys, grid, level = _oracle_input(kind, ny, nx, seed)
     segs = svgplot.marching_squares(xs, ys, grid, level)
-    assert segs.tolist() == _reference_rows(xs, ys, grid, level)
+    assert _undirected_rows(segs) == _undirected(
+        _reference_marching_squares(xs, ys, grid, level))
     if kind == "flat" or 1 in (ny, nx):
         assert segs.shape == (0, 4)
+
+
+def test_pairs_keep_the_corners_above_on_the_left():
+    # edge midpoints and corners of the unit cell, and each edge's corners
+    mid = np.array([(0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.5)])
+    corner = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    ends = [(0, 1), (1, 2), (3, 2), (0, 3)]
+    checked = 0
+    for index, pairs in enumerate(svgplot._PAIRS):
+        code = index % 16
+        for a, b in pairs.tolist():
+            if a == b:
+                continue
+            # the above corners of the two crossed edges: for a saddle
+            # pair, the corner it cuts off if that one is above
+            above = [q for q in {*ends[a], *ends[b]} if code >> q & 1]
+            dx, dy = mid[b] - mid[a]
+            for q in above:
+                qx, qy = corner[q] - mid[a]
+                assert dx * qy - dy * qx > 0, (index, a, b, q)
+            checked += 1
+    assert checked == 2 * (12 + 2 * 2)
+
+
+# not the integer and infinite cases: corners on the level and crossings
+# clamped onto a corner put chains that share no edge on one point, and
+# there the endpoint graph joins what the rows rightly keep apart
+@pytest.mark.parametrize("kind, ny, nx, seed", [
+    c for c in _ORACLE_CASES if c[0] in ("real", "flat")] + [("circle", 0, 0, 0)])
+def test_chain_breaks_count_the_components(kind, ny, nx, seed):
+    xs, ys, grid, level = (_circle_input() if kind == "circle"
+                           else _oracle_input(kind, ny, nx, seed))
+    segs = svgplot.marching_squares(xs, ys, grid, level)
+    assert _chain_count(segs) == _component_count(segs)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -154,8 +226,11 @@ def test_oracle_inputs_exercise_saddles():
 def test_marching_squares_matches_reference_property(seed, ny, nx, integer):
     xs, ys, grid, level = _oracle_input(
         "integer" if integer else "real", ny, nx, seed)
-    assert (svgplot.marching_squares(xs, ys, grid, level).tolist()
-            == _reference_rows(xs, ys, grid, level))
+    segs = svgplot.marching_squares(xs, ys, grid, level)
+    assert _undirected_rows(segs) == _undirected(
+        _reference_marching_squares(xs, ys, grid, level))
+    if not integer:
+        assert _chain_count(segs) == _component_count(segs)
 
 
 def test_render_svg_structure():
@@ -167,10 +242,21 @@ def test_render_svg_structure():
     assert svg == svgplot.render_potential_svg(f, Disk(0j, 1.0))  # stable
 
 
+def _polyline_pairs(d):
+    """The segments an SVG path's polylines draw, as _undirected pairs of
+    (x, y) coordinate strings; a Z closes its polyline with a pair back to
+    its start."""
+    pairs = []
+    for chain, z in re.findall(r"(M[^MZ]*)(Z?)", d):
+        pts = [tuple(p.split(" ")) for p in re.split("[ML]", chain)[1:]]
+        pairs += zip(pts, pts[1:] + pts[:1] * bool(z))
+    return _undirected(pairs)
+
+
 def test_render_svg_pins_contour_bytes_and_gradient_colorbar():
     # phi = (z^2 - 2i) / (z^2 + 2i) has a saddle of log10|phi| at 0 on level
-    # 0, in a saddle cell; each contour path must keep the bytes of one
-    # f-string per reference segment
+    # 0, in a saddle cell; each contour path must draw the segments of the
+    # reference, each point with the bytes of an f-string
     f = potential_grid([1 + 1j, -1 - 1j], [1 - 1j, -1 + 1j], (-3, 3, -3, 3),
                        (64, 64))
     g = f.log_abs_phi
@@ -191,11 +277,12 @@ def test_render_svg_pins_contour_bytes_and_gradient_colorbar():
     for level in f.levels:
         segs = _reference_marching_squares(xs, ys, g, float(level))
         if segs:
-            expected.append("".join(
-                f"M{px(a[0]):.2f} {py(a[1]):.2f}L{px(b[0]):.2f} {py(b[1]):.2f}"
-                for a, b in segs))
+            expected.append(_undirected(
+                ((f"{px(a[0]):.2f}", f"{py(a[1]):.2f}"),
+                 (f"{px(b[0]):.2f}", f"{py(b[1]):.2f}")) for a, b in segs))
     contours = re.findall(r'<path d="([^"]*)" fill="none" stroke="#', svg)
-    assert contours == expected
+    assert [_polyline_pairs(d) for d in contours] == expected
+    assert all(d.count("M") < len(pairs) for d, pairs in zip(contours, expected))
 
     lo, hi = svgplot._level_color(0.0), svgplot._level_color(1.0)
     assert svg.count("<linearGradient") == 1
@@ -203,6 +290,40 @@ def test_render_svg_pins_contour_bytes_and_gradient_colorbar():
     rects = re.findall(r"<rect [^>]*>", svg)
     assert len(rects) == 2                     # background and colorbar
     assert 'fill="white"' in rects[0] and 'fill="url(#bar)"' in rects[1]
+
+
+def test_figure_contours_draw_the_segments_and_parse(tmp_path, monkeypatch):
+    # the per-cell reference takes seconds on a figure's 220-wide grid, so
+    # each level is checked against marching_squares' own rows, which the
+    # oracle tests above check against the reference
+    calls = []
+    render = svgplot.render_potential_svg
+
+    def recording(field, domain=None):
+        calls.append(field)
+        return render(field, domain)
+
+    monkeypatch.setattr(svgplot, "render_potential_svg", recording)
+    for n in range(1, 7):
+        cli.run_figure(n, str(tmp_path / str(n)))
+    assert len(calls) == 6
+    for n, field in enumerate(calls, 1):
+        svg = (tmp_path / str(n) / "potential.svg").read_text()
+        ElementTree.fromstring(svg)
+        xmin, xmax, ymin, ymax = field.window
+        plot_h = int(round(svgplot.plot_height(field.window)))
+        xs, ys = field.cell_centers()
+        expected = []
+        for level in field.levels:
+            segs = svgplot.marching_squares(xs, ys, field.log_abs_phi, float(level))
+            if len(segs):
+                pts = segs.reshape(-1, 2)
+                pts[:, 0] = 40 + (pts[:, 0] - xmin) / (xmax - xmin) * svgplot.PLOT_WIDTH
+                pts[:, 1] = 40 + (ymax - pts[:, 1]) / (ymax - ymin) * plot_h
+                s = [(f"{x:.2f}", f"{y:.2f}") for x, y in pts.tolist()]
+                expected.append(_undirected(zip(s[0::2], s[1::2])))
+        contours = re.findall(r'<path d="([^"]*)" fill="none" stroke="#', svg)
+        assert [_polyline_pairs(d) for d in contours] == expected
 
 
 def test_level_color_is_affine_within_rounding():
