@@ -21,7 +21,7 @@ _EXPORTS = {
     "geometry": ("Disk", "FunctionSpec", "Horseshoe", "Interval", "SampleSet",
                  "boundary_samples", "eval_function", "sample_function",
                  "test_grid"),
-    "polyfit": ("ArnoldiPolynomial", "va_eval", "va_fit"),
+    "polyfit": ("ArnoldiPolynomial", "va_fit"),
     "potential": ("ContourSpec", "PotentialField", "phi", "potential_gap",
                   "potential_grid", "walsh_error"),
 }

@@ -12,7 +12,8 @@ an unknown function, a bad domain, --window or --res, a degree list that
 is not strictly increasing in 0..MAX_DEGREE, a --tol or --floor that is
 not a positive finite number, a negative --max-degree or one above
 samples // 2 - 1, too few --samples for the domain, or an invalid model
-file.
+file (also one that is not UTF-8, nests deeper than json parses, or holds
+a number too large for a float).
 A failed computation exits with code 1, and so does one that runs out of
 memory (say, a --res too large for the potential grid).
 
@@ -86,8 +87,8 @@ def model_from_json(data):
     """Rebuild a barycentric model from model_to_json output.
 
     Raises UsageError for another model type, a missing key, an entry that
-    is not a finite [re, im] pair, or arrays whose lengths do not fit
-    together.
+    is not a finite [re, im] pair (a number too large for a float included),
+    or arrays whose lengths do not fit together.
     """
     if not isinstance(data, dict):
         raise UsageError("model file must hold a JSON object")
@@ -98,7 +99,7 @@ def model_from_json(data):
         try:
             a = np.array([complex(re, im) for re, im in data[key]],
                          dtype=complex)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise UsageError(f"model {key!r} must be a list of [re, im] pairs")
         if not np.all(np.isfinite(a)):
             raise UsageError(f"model {key!r} has non-finite entries")
@@ -117,7 +118,7 @@ def load_model(path):
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise UsageError(f"model file {path!r} is not valid JSON: {exc}")
     return model_from_json(data)
 

@@ -187,46 +187,32 @@ def _interval_points(dom, m, offset):
     return pts.astype(complex)
 
 
-def _horseshoe_segments(dom):
-    """Arclength-parametrized boundary pieces (length, point_at(u)) with
-    u in [0, 1] along each piece, traversed as one closed curve."""
+def _horseshoe_points(dom, m, offset):
+    """m points evenly spaced in arclength (phase offset) along the boundary,
+    traversed as one closed curve of four circular arcs, each a row
+    (center, radius, start, sweep) traced at arg start + u * sweep for u in
+    [0, 1]: the outer arc, the lower cap from R e^{-ia} to r e^{-ia}, the
+    inner arc and the upper cap from r e^{+ia} to R e^{+ia}; the caps
+    indent into the annulus."""
     r, R, a = dom.inner_radius, dom.outer_radius, dom.opening_half_angle
     rho = dom.cap_radius
     c_plus, c_minus = dom.cap_centers
     span = 2 * np.pi - 2 * a
-
-    def outer(u):
-        return R * np.exp(1j * (a + u * span))
-
-    def cap_minus(u):
-        # from R e^{-ia} to r e^{-ia}, indenting into the annulus
-        return c_minus + rho * np.exp(1j * (-a - u * np.pi))
-
-    def inner(u):
-        return r * np.exp(1j * (2 * np.pi - a - u * span))
-
-    def cap_plus(u):
-        # from r e^{+ia} to R e^{+ia}, indenting into the annulus
-        return c_plus + rho * np.exp(1j * (a + np.pi - u * np.pi))
-
-    return [
-        (R * span, outer),
-        (np.pi * rho, cap_minus),
-        (r * span, inner),
-        (np.pi * rho, cap_plus),
+    arcs = [
+        (0, R, a, span),
+        (c_minus, rho, -a, -np.pi),
+        (0, r, 2 * np.pi - a, -span),
+        (c_plus, rho, a + np.pi, -np.pi),
     ]
-
-
-def _horseshoe_points(dom, m, offset):
-    segs = _horseshoe_segments(dom)
-    total = sum(length for length, _ in segs)
-    s = (np.arange(m) + offset) * total / m
+    lengths = [abs(radius * sweep) for _, radius, _, sweep in arcs]
+    s = (np.arange(m) + offset) * sum(lengths) / m
     pts = np.empty(m, dtype=complex)
-    start = 0.0
-    for length, point_at in segs:
-        sel = (s >= start) & (s < start + length)
-        pts[sel] = point_at((s[sel] - start) / length)
-        start += length
+    done = 0.0
+    for (center, radius, start, sweep), length in zip(arcs, lengths):
+        sel = (s >= done) & (s < done + length)
+        u = (s[sel] - done) / length
+        pts[sel] = center + radius * np.exp(1j * (start + u * sweep))
+        done += length
     return pts
 
 

@@ -4,7 +4,9 @@ Builds a discretely orthonormal polynomial basis by an Arnoldi recurrence
 with the diagonal matrix of sample points, sidestepping the
 ill-conditioning of raw Vandermonde matrices.  The basis is orthonormal by
 construction, so the coefficients are the projections of the data onto
-it.  Evaluation at new points re-runs the stored recurrence (va_basis).
+it.  A fit is its recurrence and coefficients, and its degree follows from
+the coefficients; at new points it is va_basis(model, z) @ model.coeffs,
+the stored recurrence re-run there.
 The basis is nested in degree: one degree-N fit and basis serve every
 lower degree, and a fit stops at the last column its points determine.
 The recurrence is homogeneous in the points, and va_fit runs it on data
@@ -34,10 +36,10 @@ class ArnoldiPolynomial:
 
     hessenberg: np.ndarray      # (n+1) x n, positive real subdiagonal
     coeffs: np.ndarray          # n+1
-    degree: int
 
-    def __call__(self, z):
-        return va_eval(self, z)
+    @property
+    def degree(self):
+        return self.coeffs.size - 1
 
 
 def va_fit(samples, degree):
@@ -80,8 +82,7 @@ def va_fit(samples, degree):
         Q[:, k + 1] = q / sub
     # Q^H Q = M I, and the breakdown test keeps every column independent
     c = (F.conj() @ Q[:, : n + 1]).conj() / M
-    return ArnoldiPolynomial(hessenberg=H[: n + 1, :n] * s, coeffs=c * t,
-                             degree=n)
+    return ArnoldiPolynomial(hessenberg=H[: n + 1, :n] * s, coeffs=c * t)
 
 
 def va_basis(model, points):
@@ -96,11 +97,3 @@ def va_basis(model, points):
         w = zv * W[:, k] - W[:, : k + 1] @ H[: k + 1, k]
         W[:, k + 1] = w / H[k + 1, k]
     return W
-
-
-def va_eval(model, points):
-    """Evaluate the polynomial by regenerating the basis at new points."""
-    out = va_basis(model, points) @ model.coeffs
-    if np.ndim(points) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(points))

@@ -54,11 +54,15 @@ class ContourSpec:
 @dataclass(frozen=True)
 class PotentialField:
     window: tuple           # (xmin, xmax, ymin, ymax)
-    resolution: tuple       # (nx, ny)
     log_abs_phi: np.ndarray  # ny x nx, clipped
     levels: np.ndarray      # strictly increasing integer contour levels
     supports: np.ndarray
     pole_list: np.ndarray
+
+    @property
+    def resolution(self):
+        """(nx, ny), the grid's shape read in x, y order."""
+        return self.log_abs_phi.shape[::-1]
 
     def cell_centers(self):
         return _cell_centers(self.window, self.resolution)
@@ -126,7 +130,6 @@ def potential_grid(supports, pole_list, window, resolution):
     levels = np.arange(np.ceil(l_min), np.floor(l_max) + 1.0)
     return PotentialField(
         window=tuple(float(v) for v in window),
-        resolution=(int(nx), int(ny)),
         log_abs_phi=clipped,
         levels=levels,
         supports=np.asarray(supports, dtype=complex).ravel(),

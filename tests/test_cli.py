@@ -424,6 +424,22 @@ def test_bad_model_file_is_usage_error(tmp_path, bad):
     assert not (tmp_path / "plot.svg").exists()
 
 
+@pytest.mark.parametrize("content", [
+    json.dumps({**_GOOD_MODEL, "supports": [[0.0, 0.0], [10 ** 400, 0.0]]}).encode(),
+    json.dumps(_GOOD_MODEL).encode("utf-16"),
+    b"[" * 100000,
+], ids=["int-too-large-for-a-float", "not-utf-8", "nested-too-deep"])
+def test_unparsable_model_file_is_usage_error(tmp_path, capsys, content):
+    # a usage error (exit 2, an error line), not a traceback or a failure
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    rc = main(["potential", "--model", str(path), "--res", "64",
+               "--out", str(tmp_path / "plot.svg")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "plot.svg").exists()
+
+
 def test_out_of_memory_is_a_failure(tmp_path, capsys, monkeypatch):
     # a --res too large for memory: a failure message and exit 1, no traceback
     def out_of_memory(*args, **kwargs):
