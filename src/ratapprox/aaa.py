@@ -31,20 +31,23 @@ cuts it out, so one greedy run can serve a degree sweep and a preset fit.
 
 Poles are the finite eigenvalues of an arrowhead pencil, from
 linalg.arrowhead_eigenvalues: a numpy shift-and-invert eigenvalue solve
-polished by Newton steps.  The arithmetic follows the data: when every
-sample point and value is real, the Loewner and Cauchy matrices, their
-factorizations and the pole pencil are real (float64), and the pencil is
-solved at a real shift, so the poles of a fit to real data come in
-exactly conjugate pairs.  Models are stored, and evaluated, in complex
-arithmetic either way.
+polished by Newton steps.  The arithmetic follows the data's dtype, which
+geometry.SampleSet decides once: float64 when every sample point and value
+is real, else complex128.  On real data the Loewner and Cauchy matrices,
+their factorizations, the model (supports, values and weights), its
+evaluation at real points and the pole pencil are all real, and the pencil
+is solved at a real shift, so the poles of a fit to real data come in
+exactly conjugate pairs.  A model holds float64 arrays when all three of
+its arrays are real, and complex128 ones otherwise.
 
 prefix_evaluator evaluates the models of a trajectory, whose supports are
 prefixes of the last model's, in the greedy's arithmetic (_cauchy_sums):
 one Cauchy matrix 1 / (z - z_k) per point set, and two matrix products for
-all models, real when the data are.  It is a setup and one step: it pads
-the weights, takes the scales and chooses the arithmetic once for a point
-set, and returns the step, which evaluates a slice of the points on that
-slice's Cauchy matrix, so a caller can walk a large point set in blocks.
+all models, real when the models and the points are.  It is a setup and
+one step: it pads the weights, takes the scales and chooses the arithmetic
+once for a point set, and returns the step, which evaluates a slice of the
+points on that slice's Cauchy matrix, so a caller can walk a large point
+set in blocks.
 evaluate keeps its own quotient for one model, with the weights divided
 into z - z_k; the two agree to rounding.
 
@@ -72,7 +75,9 @@ _CAUCHY_GROWTH = 16
 class BarycentricRational:
     """Rational function r(z) = sum_k w_k f_k/(z - z_k) / sum_k w_k/(z - z_k).
 
-    Interpolates f_k at every support z_k with nonzero weight.
+    Interpolates f_k at every support z_k with nonzero weight.  The three
+    arrays are stored as float64 when all of them are real, and as
+    complex128 when any is complex.
     """
 
     supports: np.ndarray
@@ -80,9 +85,9 @@ class BarycentricRational:
     weights: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.supports, dtype=complex)
-        f = np.asarray(self.values, dtype=complex)
-        w = np.asarray(self.weights, dtype=complex)
+        arrays = [np.asarray(a) for a in (self.supports, self.values, self.weights)]
+        dtype = complex if any(map(np.iscomplexobj, arrays)) else float
+        z, f, w = (a.astype(dtype, copy=False) for a in arrays)
         if not (z.shape == f.shape == w.shape) or z.ndim != 1 or z.size == 0:
             raise ValueError("supports, values, weights must be 1-D of equal length")
         if len(np.unique(z)) != z.size:
@@ -131,12 +136,16 @@ def evaluate(r, z):
 
     Computes sum_k (w_k / (z - z_k)) f_k / sum_k w_k / (z - z_k) on the
     values divided by t = pow2_scale(values), and multiplies by t exactly.
-    A point that is numerically a pole (zero denominator, nonzero
-    numerator) yields an explicit complex infinity.  Sample errors of fits
+    The arithmetic is real for a real model at real points, whose result
+    is float64 (a Python float for a scalar z), and complex otherwise.  A
+    point that is numerically a pole (zero denominator, nonzero numerator)
+    yields the IEEE +-inf of the division in real arithmetic, and an
+    explicit complex infinity in complex arithmetic.  Sample errors of fits
     (cleanup's final_error) come from here; prefix_evaluator gives the
     same quotient for many models at once, to rounding.
     """
-    zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    z = np.asarray(z)
+    zv = np.atleast_1d(z.astype(np.result_type(z, r.supports), copy=False)).ravel()
     t = linalg.pow2_scale(r.values)
     with np.errstate(all="ignore"):
         D = zv[:, None] - r.supports
@@ -146,11 +155,12 @@ def evaluate(r, z):
         den = C.sum(axis=1)
         out = num / den
         out.view(float)[:] *= t  # exact, and keeps signed zeros and infs
-    out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
+    if np.iscomplexobj(out):
+        out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
     out[hit_rows] = r.values[hit_cols]
-    if np.ndim(z) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    if z.ndim == 0:
+        return out[0].item()
+    return out.reshape(z.shape)
 
 
 def prefix_evaluator(models, z):
@@ -166,19 +176,28 @@ def prefix_evaluator(models, z):
     zero-padded (supports x models) matrices of the weights and of
     w_k f_k / t, for t each model's pow2_scale(values), in two matrix
     products laid out (models x points).  The setup builds the padded
-    matrices and the scales, and chooses the arithmetic: real when all of
-    z and all models are.  Each call builds the Cauchy matrix of its slice
-    only, so a caller that walks z in blocks never holds one for all of z.
+    matrices and the scales, and chooses the arithmetic: real when all
+    models are and z has no nonzero imaginary part (a test grid on an
+    interval is real points stored as complex).  Each call builds the
+    Cauchy matrix of its slice only, so a caller that walks z in blocks
+    never holds one for all of z.
     The zero entries keep a hit beyond a model's prefix from forming
     0 * inf.  As in evaluate, a hit inside a model's prefix returns f_k,
-    and an exact pole complex infinity.
+    and an exact pole the +-inf of the division in real arithmetic and
+    complex infinity in complex.
     """
     last = models[-1].supports
     for m in models:
         if not np.array_equal(m.supports, last[:m.supports.size]):
             raise ValueError(
                 "each model's supports must be a prefix of the last model's")
-    W = np.zeros((last.size, len(models)), dtype=complex)
+    zv = np.asarray(z).ravel()
+    if not np.any(zv.imag):
+        zv = zv.real
+    dtype = np.result_type(zv, *(m.weights for m in models))
+    # real parts are strided views: BLAS needs them contiguous
+    zv, S = (np.ascontiguousarray(a, dtype=dtype) for a in (zv, last))
+    W = np.zeros((last.size, len(models)), dtype=dtype)
     WF = np.zeros_like(W)
     t = np.empty(len(models))
     for i, m in enumerate(models):
@@ -186,9 +205,6 @@ def prefix_evaluator(models, z):
         t[i] = linalg.pow2_scale(m.values)
         W[:k, i] = m.weights
         WF[:k, i] = m.weights * (m.values / t[i])
-    # real parts are strided views: BLAS needs them contiguous
-    zv, S, W, WF = map(np.ascontiguousarray, _real_if_exact(
-        np.asarray(z, dtype=complex).ravel(), last, W, WF))
 
     def evaluate_block(rows):
         with np.errstate(all="ignore"):
@@ -198,10 +214,10 @@ def prefix_evaluator(models, z):
             C[hit_rows, hit_cols] = 0
             num, den = _cauchy_sums(C, W, WF)
             del C
-            out = np.empty(num.shape, dtype=complex)
-            np.divide(num, den, out=out)
+            out = num / den
             out.view(float)[:] *= t[:, None]  # exact; keeps signed zeros, infs
-        out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
+        if np.iscomplexobj(out):
+            out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
         for row, m in zip(out, models):
             own = hit_cols < m.supports.size
             row[hit_rows[own]] = m.values[hit_cols[own]]
@@ -238,7 +254,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     cache is freed before a wider one, by _CAUCHY_GROWTH columns and at
     most max_degree + 1, is refilled, so no copy of it is ever alive.
     """
-    Z, F = _real_if_exact(samples.points, samples.values)
+    Z, F = samples.points, samples.values
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_degree < 0:
@@ -297,8 +313,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         if converged:
             break
         next_j = int(rows[np.argmax(resid)])
-    z, f = Z[cols].astype(complex), F[cols].astype(complex)
-    w = W[:cols.size].astype(complex)
+    z, f, w = Z[cols], F[cols], W[:cols.size]
     snapshots = tuple(BarycentricRational(z[:k + 1], f[:k + 1], w[k, :k + 1])
                       for k in range(cols.size))
     return FitReport(
@@ -339,14 +354,6 @@ def truncate(report, samples, tol, max_degree):
     )
 
 
-def _real_if_exact(*arrays):
-    """The arrays' real parts if none has a nonzero imaginary part, else
-    the arrays unchanged."""
-    if any(np.any(a.imag) for a in arrays):
-        return arrays
-    return tuple(a.real for a in arrays)
-
-
 def _loewner(Z, F, rows, cols):
     """The Loewner matrix (F[rows] - F[cols]) / (Z[rows] - Z[cols]); rows
     and cols index the samples (a boolean mask or index array each)."""
@@ -358,7 +365,7 @@ def poles(r):
     """Poles of r: finite eigenvalues of the standard arrowhead pencil."""
     if r.degree < 1:
         raise ValueError("a degree-0 model has no poles")
-    return linalg.arrowhead_eigenvalues(*_real_if_exact(r.supports, r.weights))
+    return linalg.arrowhead_eigenvalues(r.supports, r.weights)
 
 
 def residues(r, pole_list):
@@ -399,16 +406,22 @@ def cleanup(report, samples):
     report carries the cleaned model, the number of dropped supports, its
     max error over the non-support samples as final_error, and converged
     re-judged on that error against the report's tol.  History and snapshots
-    stay the greedy run's.
+    stay the greedy run's.  Raises ValueError if a support of the model is
+    not one of the samples' points.
     """
-    Z, F = _real_if_exact(samples.points, samples.values)
+    Z, F = samples.points, samples.values
     fscale = float(np.max(np.abs(F)))
     # residues and the threshold in units of t * s, which neither overflows
     t, s = linalg.pow2_scale(F), linalg.pow2_scale(Z)
     thresh = 1e-13 * (fscale / t) * _diameter(Z / s)
     Ft = F / t
     model = report.model
-    cols = np.array([np.flatnonzero(Z == z)[0] for z in model.supports])
+    # the supports' sample indices, from one sorted lookup: the samples are
+    # pairwise distinct, so a support found is found exactly
+    order = np.argsort(Z)
+    cols = order[np.searchsorted(Z[order], model.supports).clip(max=Z.size - 1)]
+    if not np.array_equal(Z[cols], model.supports):
+        raise ValueError("the model's supports must be sample points")
     keep = np.ones(cols.size, dtype=bool)
     free = np.ones(Z.size, dtype=bool)
     free[cols] = False

@@ -7,7 +7,14 @@ Subcommands:
     study ...               ad-hoc degree sweep, writes convergence CSV
     potential ...           render a potential contour plot from a model
 
-model.json holds a barycentric model only.  Bad input exits with code 2:
+model.json holds a barycentric model only: its supports, values and
+weights, each a list of plain JSON numbers when the model is real
+(float64, as a fit to real data is) and of [re, im] pairs when it is
+complex.  The form sets the dtype: a model file reloads as float64 when
+all three arrays are plain numbers and as complex128 otherwise, so a file
+of pairs reloads as a complex model even where every imaginary part is 0.
+An array that mixes the two forms is invalid.  Bad input exits with
+code 2:
 an unknown function, a bad domain, --window or --res, a degree list that
 is not strictly increasing in 0..MAX_DEGREE, a --tol or --floor that is
 not a positive finite number, a negative --max-degree or one above
@@ -74,21 +81,34 @@ def _complex_pairs(arr):
     return [[float(v.real), float(v.imag)] for v in np.asarray(arr).ravel()]
 
 
+def _json_array(arr):
+    """A real array as a list of plain numbers, a complex one as pairs."""
+    return _complex_pairs(arr) if np.iscomplexobj(arr) else arr.tolist()
+
+
 def model_to_json(model):
     return {
         "type": "barycentric",
-        "supports": _complex_pairs(model.supports),
-        "values": _complex_pairs(model.values),
-        "weights": _complex_pairs(model.weights),
+        "supports": _json_array(model.supports),
+        "values": _json_array(model.values),
+        "weights": _json_array(model.weights),
     }
+
+
+def _is_number(x):
+    # json reads true and false as bool, a subclass of int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def model_from_json(data):
     """Rebuild a barycentric model from model_to_json output.
 
-    Raises UsageError for another model type, a missing key, an entry that
-    is not a finite [re, im] pair (a number too large for a float included),
-    or arrays whose lengths do not fit together.
+    Each array is a list of plain numbers, read as float64, or a list of
+    [re, im] pairs, read as complex128; the model is real when all three
+    are.  Raises UsageError for another model type, a missing key, an
+    array in neither form (booleans, strings, or pairs mixed with plain
+    numbers), a non-finite entry or a number too large for a float, or
+    arrays whose lengths do not fit together.
     """
     if not isinstance(data, dict):
         raise UsageError("model file must hold a JSON object")
@@ -96,14 +116,20 @@ def model_from_json(data):
     def arr(key):
         if key not in data:
             raise UsageError(f"model file lacks the key {key!r}")
+        entries = data[key]
+        if not (isinstance(entries, list) and (
+                all(map(_is_number, entries))
+                or all(isinstance(e, list) and len(e) == 2
+                       and all(map(_is_number, e)) for e in entries))):
+            raise UsageError(f"model {key!r} must be a list of numbers or a "
+                             "list of [re, im] pairs")
         try:
-            a = np.array([complex(re, im) for re, im in data[key]],
-                         dtype=complex)
-        except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"model {key!r} must be a list of [re, im] pairs")
+            a = np.array(entries, dtype=float)
+        except OverflowError:
+            raise UsageError(f"model {key!r} has a number too large for a float")
         if not np.all(np.isfinite(a)):
             raise UsageError(f"model {key!r} has non-finite entries")
-        return a
+        return a.view(complex).ravel() if a.ndim == 2 else a
 
     kind = data.get("type")
     if kind != "barycentric":

@@ -114,7 +114,14 @@ def eval_function(f, z):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Paired complex sample points and function values."""
+    """Paired sample points and function values, both float64 when neither
+    array has a nonzero imaginary part (real data, such as f on an
+    interval), else both complex128.
+
+    The real case keeps the real parts, bit for bit, of the complex
+    points and values it was given, so a fit to real data runs in real
+    arithmetic from here on, and its model is real.
+    """
 
     points: np.ndarray
     values: np.ndarray
@@ -130,6 +137,8 @@ class SampleSet:
             raise ValueError("sample points must be pairwise distinct")
         if not (np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))):
             raise ValueError("sample values must be finite")
+        if not (np.any(pts.imag) or np.any(vals.imag)):
+            pts, vals = pts.real.copy(), vals.real.copy()
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
 

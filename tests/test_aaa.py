@@ -102,6 +102,12 @@ def test_eval_at_pole_returns_infinity_marker():
     p = aaa.poles(m)[0]
     v = aaa.evaluate(m, p)
     assert not np.isfinite(v.real) or abs(v) > 1e12
+    # 0 is an exact pole of both; a real model gives the division's signed
+    # inf there, and a complex one complex infinity
+    real = aaa.BarycentricRational(np.array([1.0, -1.0]), np.array([2.0, 1.0]),
+                                   np.ones(2))
+    assert aaa.evaluate(real, 0.0) == -np.inf
+    assert aaa.evaluate(m, 0.0) == complex(np.inf, np.inf)
 
 
 def test_poles_requires_degree_one():
@@ -226,9 +232,10 @@ def _vectors(real, n, unique=False):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data(), real=st.booleans(), n=st.integers(1, 12))
 def test_interpolation_property(data, real, n):
-    # evaluate returns f_k at every support z_k bit for bit, for real and
-    # complex models, zero weights and overflowing terms included
-    z, f, w = (np.array(data.draw(_vectors(real, n, unique)), dtype=complex)
+    # evaluate returns f_k at every support z_k bit for bit, for real
+    # (float64) and complex models, zero weights and overflowing terms
+    # included
+    z, f, w = (np.array(data.draw(_vectors(real, n, unique)))
                for unique in (True, False, False))
     assume(np.any(w != 0))
     m = aaa.BarycentricRational(z, f, w)
@@ -237,8 +244,11 @@ def test_interpolation_property(data, real, n):
 
 def _reference_evaluate(r, z):
     """The barycentric quotient as evaluate computed it for one model alone,
-    before it shared the greedy's quotient with prefix_evaluator."""
-    zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    before it shared the greedy's quotient with prefix_evaluator, in the
+    arithmetic of the model and the points: real for a real model at real
+    points, where an exact pole gives the division's +-inf."""
+    z = np.asarray(z)
+    zv = np.atleast_1d(z.astype(np.result_type(z, r.supports))).ravel()
     with np.errstate(all="ignore"):
         D = zv[:, None] - r.supports[None, :]
         hit_rows, hit_cols = np.nonzero(D == 0)
@@ -246,7 +256,8 @@ def _reference_evaluate(r, z):
         num = C @ r.values
         den = C.sum(axis=1)
         out = num / den
-    out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
+    if np.iscomplexobj(out):
+        out[(den == 0) & (num != 0)] = complex(np.inf, np.inf)
     out[hit_rows] = r.values[hit_cols]
     return out
 
@@ -329,9 +340,12 @@ def test_evaluate_prefixes_matches_evaluate_to_rounding(seed, real,
         assert aaa.evaluate(m, grid).shape == (5, 10)
         assert (aaa.evaluate(m, grid).tobytes()
                 == _reference_evaluate(m, grid).tobytes())
-        # a scalar is a one-point set, whose product can round differently
+        # a scalar is a one-point set, whose product can round differently;
+        # it gives a Python float or complex, in the model's dtype
         for zi in (pts[0], z[1], z[-1], 0.5):
-            assert (np.complex128(aaa.evaluate(m, zi)).tobytes()
+            value = aaa.evaluate(m, zi)
+            assert type(value) is (float if real else complex)
+            assert (np.asarray(value).tobytes()
                     == _reference_evaluate(m, zi).tobytes())
     # the bound has teeth: a weight off by 1e-8 relative breaks it
     m = models[-1]
@@ -370,12 +384,9 @@ def test_evaluate_prefixes_at_supports_beyond_a_prefix(real):
 def _reference_fit(samples, tol, max_degree):
     """Greedy fit and cleanup with a fresh Loewner matrix and thin SVD per solve.
 
-    The Loewner matrix is real when every sample point and value is real,
-    as the fit's is.
+    The Loewner matrix is in the samples' dtype, as the fit's is.
     """
     Z, F = samples.points, samples.values
-    if not (np.any(Z.imag) or np.any(F.imag)):
-        Z, F = Z.real, F.real
 
     def solve(idx):
         rows = np.setdiff1d(np.arange(Z.size), idx)
@@ -485,7 +496,7 @@ def _rebuild_fit(samples, tol, max_degree):
     """aaa_fit with the Cauchy matrix 1 / (Z[rows] - Z[cols]) of the
     non-support samples built anew at every step: (history, sigma_min,
     each step's weights)."""
-    Z, F = aaa._real_if_exact(samples.points, samples.values)
+    Z, F = samples.points, samples.values
     max_degree = min(max_degree, Z.size // 2 - 1)
     fscale = float(np.max(np.abs(F)))
     t = linalg.pow2_scale(F)
@@ -501,7 +512,7 @@ def _rebuild_fit(samples, tol, max_degree):
         rows = L.rows()
         sigma, w = linalg.min_singular_right_vector(L.stack())
         sigma_min.append(sigma * t)
-        weights.append(w.astype(complex))
+        weights.append(w)
         cols = np.asarray(support_idx, dtype=int)
         with np.errstate(all="ignore"):
             C = 1.0 / (Z[rows, None] - Z[None, cols])
@@ -657,7 +668,7 @@ def test_poles_and_zeros_against_qz_and_a_40_digit_oracle(name):
     # (or within 2 eps of it), and both solves agree on the counts
     r = _figure_models()[name]
     eps = np.finfo(float).eps
-    z, w = aaa._real_if_exact(r.supports, r.weights)
+    z, w = r.supports, r.weights
     p, p_qz = aaa.poles(r), _qz_roots(z, w)
     assert p.size == p_qz.size == r.degree
     ref = _polished(z, w, p_qz)
@@ -723,7 +734,7 @@ def _refactor_cleanup(report, samples):
     """cleanup one support at a time, with a fresh solve of L[free, keep] on
     every removal: the oracle of cleanup's rounds and of their R stack,
     (supports, weights, removed)."""
-    Z, F = aaa._real_if_exact(samples.points, samples.values)
+    Z, F = samples.points, samples.values
     thresh = 1e-13 * float(np.max(np.abs(F))) * aaa._diameter(Z)
 
     def most_negligible_pole(model):
@@ -773,13 +784,46 @@ def test_cleanup_weights_are_a_fresh_solve(case):
     # solve of the Loewner matrix on the final supports, bit for bit
     s, _, rep = _cleanup_case(case)
     assert rep.cleanup_removed > 0
-    Z, F = aaa._real_if_exact(s.points, s.values)
+    Z, F = s.points, s.values
     cols = np.array([np.flatnonzero(Z == z)[0] for z in rep.model.supports])
     free = np.ones(Z.size, dtype=bool)
     free[cols] = False
     L = (F[free, None] - F[None, cols]) / (Z[free, None] - Z[None, cols])
     _, w = linalg.min_singular_right_vector(L)
-    assert rep.model.weights.tobytes() == w.astype(complex).tobytes()
+    assert rep.model.weights.tobytes() == w.tobytes()
+
+
+def test_cleanup_rejects_a_model_of_other_samples():
+    # cleanup finds each support among the samples by one sorted lookup,
+    # and a support that is not a sample point is an error
+    s, fit, _ = _cleanup_case("figure5")
+    other = ra.sample_function(FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), 502)
+    assert not np.all(np.isin(fit.model.supports, other.points))
+    with pytest.raises(ValueError, match="sample points"):
+        aaa.cleanup(fit, other)
+
+
+@pytest.mark.parametrize("case", ["figure5", "abs-2000"])
+def test_a_fit_to_real_data_is_a_real_model(case):
+    # real samples keep the fit, every snapshot and the cleaned model in
+    # float64, and evaluate at real points in real arithmetic; a complex
+    # copy of the model agrees to rounding
+    s, fit, rep = _cleanup_case(case)
+    assert s.points.dtype == s.values.dtype == np.float64
+    for m in (*fit.snapshots, rep.model):
+        assert m.supports.dtype == m.values.dtype == m.weights.dtype == np.float64
+    m = rep.model
+    mc = aaa.BarycentricRational(m.supports.astype(complex), m.values,
+                                 m.weights)
+    assert mc.values.dtype == mc.weights.dtype == np.complex128
+    z = s.points[~np.isin(s.points, m.supports)]
+    q = aaa.evaluate(m, z)
+    assert q.dtype == np.float64
+    assert np.all(np.abs(q - aaa.evaluate(mc, z)) <= _rounding_bound(m, z))
+    # at complex points, real coefficients give exactly conjugate values
+    zc = z + 1j * np.geomspace(1e-9, 1.0, z.size)
+    assert (aaa.evaluate(m, zc.conj()).tobytes()
+            == aaa.evaluate(m, zc).conj().tobytes())
 
 
 @pytest.mark.parametrize("case", ["figure5", "abs-500", "abs-2000"])
@@ -821,7 +865,9 @@ def test_cleanup_with_fewer_free_rows_than_columns():
 def test_diameter_is_within_cos_pi_over_128_of_the_exact_one(domain, m):
     # the cleanup threshold scales with it; the largest pairwise distance,
     # in chunks of rows, is the exact diameter
-    (z,) = aaa._real_if_exact(ra.boundary_samples(domain, m))
+    z = ra.boundary_samples(domain, m)
+    if isinstance(domain, Interval):
+        z = z.real      # the points of real data, as cleanup sees them
     exact = max(float(np.abs(z[i:i + 256, None] - z).max())
                 for i in range(0, z.size, 256))
     assert np.cos(np.pi / 128) * exact <= aaa._diameter(z) <= exact
@@ -830,7 +876,7 @@ def test_diameter_is_within_cos_pi_over_128_of_the_exact_one(domain, m):
 def _loewner(samples, supports):
     """The Loewner matrix over the non-support samples, in the arithmetic of
     the data."""
-    Z, F = aaa._real_if_exact(samples.points, samples.values)
+    Z, F = samples.points, samples.values
     idx = np.array([np.flatnonzero(samples.points == z)[0] for z in supports])
     rows = np.setdiff1d(np.arange(Z.size), idx)
     return (F[rows, None] - F[idx]) / (Z[rows, None] - Z[idx])
@@ -864,7 +910,7 @@ def test_one_block_weights_are_the_tall_solve_bit_for_bit(case):
     # those of min_singular_right_vector on the gathered Loewner matrix
     s = ra.sample_function(*_PREFIX_CASES[case], linalg.BLOCK_ROWS)
     rep = aaa.aaa_fit(s, tol=1e-13, max_degree=60)
-    Z, F = aaa._real_if_exact(s.points, s.values)
+    Z, F = s.points, s.values
     L = np.empty((Z.size, len(rep.snapshots)), dtype=F.dtype)
     free = np.ones(Z.size, dtype=bool)
     for k, (sigma, snap) in enumerate(zip(rep.sigma_min, rep.snapshots)):
@@ -874,7 +920,7 @@ def test_one_block_weights_are_the_tall_solve_bit_for_bit(case):
             L[:, k] = (F - F[j]) / (Z - Z[j])
         sigma_ref, w = linalg.min_singular_right_vector(L[free, :k + 1])
         assert sigma == sigma_ref
-        assert snap.weights.tobytes() == w.astype(complex).tobytes()
+        assert snap.weights.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("n", [linalg.BLOCK_ROWS, 2000])

@@ -113,18 +113,19 @@ _doubles = st.one_of(st.sampled_from(_EDGE_FLOATS),
 _complexes = st.builds(complex, _doubles, _doubles)
 
 
-def _complex_array(n):
-    return st.lists(_complexes, min_size=n, max_size=n).map(
-        lambda v: np.array(v, dtype=complex))
+def _array(n, real):
+    return st.lists(_doubles if real else _complexes, min_size=n,
+                    max_size=n).map(np.array)
 
 
 @st.composite
 def _models(draw):
-    n = draw(st.integers(1, 6))
-    supports = draw(_complex_array(n).filter(
+    # a real model (plain numbers in the file) or a complex one (pairs)
+    n, real = draw(st.integers(1, 6)), draw(st.booleans())
+    supports = draw(_array(n, real).filter(
         lambda z: np.unique(z).size == z.size))
-    weights = draw(_complex_array(n).filter(lambda w: np.any(w != 0)))
-    return BarycentricRational(supports, draw(_complex_array(n)), weights)
+    weights = draw(_array(n, real).filter(lambda w: np.any(w != 0)))
+    return BarycentricRational(supports, draw(_array(n, real)), weights)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -132,8 +133,18 @@ def _models(draw):
 @example(model=BarycentricRational(                  # figure 6's first weight
     np.array([1.4 + 0.4j]), np.array([0.2 - 1.2j]),
     np.array([complex(0.25, -0.0)])))
+@example(model=BarycentricRational(                  # signed zeros, real
+    np.array([-0.0, 0.5]), np.array([-0.0, 0.0]), np.array([-1.0, 0.0])))
+@example(model=BarycentricRational(                  # zero imaginary parts
+    np.array([-0.0j, 0.5]), np.array([0j, 1.0]), np.array([1.0 + 0j, 2.0])))
 def test_model_json_roundtrip_is_bit_exact(model, tmp_path_factory):
+    # each array's form sets its dtype: plain numbers reload as float64 and
+    # pairs as complex128, also where every imaginary part is 0
     path = tmp_path_factory.mktemp("roundtrip") / "model.json"
+    data = model_to_json(model)
+    form = list if np.iscomplexobj(model.supports) else float
+    assert all(type(v) is form for key in ("supports", "values", "weights")
+               for v in data[key])
     loaded = _reload(path, model)
     assert type(loaded) is type(model)
     for key in ("supports", "values", "weights"):
@@ -407,12 +418,17 @@ _GOOD_MODEL = {
     {**_GOOD_MODEL, "weights": [[1.0, float("nan")], [-1.0, 0.0]]},
     {**_GOOD_MODEL, "supports": [[0.0, 0.0], [float("inf"), 0.0]]},
     {**_GOOD_MODEL, "supports": [[0.0], [1.0, 0.0]]},
+    {"type": "barycentric", "supports": [[True, False], [2, 0]],
+     "values": [[1, 0], [False, 0]], "weights": [[1, 0], [1, 0]]},
+    {**_GOOD_MODEL, "supports": [0.0, "1+2j"]},
+    {**_GOOD_MODEL, "supports": [[0.0, 0.0], 1.0]},
     {"type": "arnoldi", "degree": 2, "hessenberg": [[1.0, 0.0]] * 6,
      "coeffs": [[1.0, 0.0]] * 2},
     {"type": "arnoldi", "hessenberg": [], "coeffs": [[1.0, 0.0]]},
     [1, 2, 3],
 ], ids=["missing-key", "length-mismatch", "nan-weight", "inf-support",
-        "bad-pair", "arnoldi-lengths", "arnoldi-missing-degree", "not-object"])
+        "bad-pair", "bool-entry", "string-entry", "mixed-forms",
+        "arnoldi-lengths", "arnoldi-missing-degree", "not-object"])
 def test_bad_model_file_is_usage_error(tmp_path, bad):
     with pytest.raises(UsageError):
         model_from_json(bad)

@@ -160,6 +160,30 @@ def test_sampleset_validation():
         SampleSet(np.array([1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("fn, domain, real", [
+    (FunctionSpec.ABS_VAL, Interval(-1.0, 1.0), True),
+    (FunctionSpec.EXP, Interval(0.5, 3.0), True),
+    (FunctionSpec.SQRT_NEG, Interval(-2.0, -0.5), True),
+    (FunctionSpec.ABS_VAL, Disk(0j, 1.0), False),
+    (FunctionSpec.TWO_BRANCH_SQRT, Interval(0.5, 3.0), False),
+], ids=["abs-interval", "exp-interval", "sqrtneg-left", "abs-disk",
+        "sqrt2branch-interval"])
+def test_sampleset_is_real_when_points_and_values_are(fn, domain, real):
+    # float64 exactly when neither array has a nonzero imaginary part: the
+    # real parts, bit for bit, of the complex evaluation.  |z| on a disk is
+    # real at complex points, and sqrt((1.5 - z)(1.5i - z)) complex at real
+    # ones; both stay complex
+    pts = boundary_samples(domain, 500)
+    vals = eval_function(fn, pts)
+    s = SampleSet(pts, vals)
+    assert s.points.dtype == s.values.dtype == (float if real else complex)
+    assert s.points.tobytes() == (pts.real if real else pts).tobytes()
+    assert s.values.tobytes() == (vals.real if real else vals).tobytes()
+    t = sample_function(fn, domain, 500)
+    assert t.points.tobytes() == s.points.tobytes()
+    assert t.values.tobytes() == s.values.tobytes()
+
+
 def test_contains():
     assert geometry.contains(Disk(0j, 1.0), 0.5 + 0.5j)
     assert not geometry.contains(Disk(0j, 1.0), 1.5 + 0j)
