@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    figure N --out DIR      reproduce one of the six built-in experiments
+    figure N... --out DIR   reproduce built-in experiments: one id writes
+                            into DIR, several each into DIR/fig<N>/
     fit ...                 ad-hoc rational fit, writes model.json
     study ...               ad-hoc degree sweep, writes convergence CSV
     potential ...           render a potential contour plot from a model
@@ -398,7 +399,12 @@ def run_figure(figure_id, out_dir):
 # subcommands
 
 def cmd_figure(args):
-    run_figure(args.id, args.out)
+    for figure_id in args.id:
+        if figure_id not in PRESETS:
+            raise UsageError(f"figure id must be 1..6, got {figure_id}")
+    for figure_id in args.id:
+        run_figure(figure_id, args.out if len(args.id) == 1
+                   else os.path.join(args.out, f"fig{figure_id}"))
     return 0
 
 
@@ -491,9 +497,11 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    f = sub.add_parser("figure", help="run a built-in experiment (1-6)")
-    f.add_argument("id", type=int)
-    f.add_argument("--out", default=".", help="output directory")
+    f = sub.add_parser("figure", help="run built-in experiments (1-6)")
+    f.add_argument("id", type=int, nargs="+", metavar="N", help="1..6")
+    f.add_argument("--out", default=".",
+                   help="output directory: one id writes its four files "
+                        "into it, several ids each into OUT/fig<id>/")
     f.set_defaults(func=cmd_figure)
 
     fit = sub.add_parser("fit", help="greedy rational fit")

@@ -10,15 +10,23 @@ the level on its left, so a crossing on an edge two cells share ends one
 segment and starts the next.  Each segment's start and end edges get
 integer ids, the segments are chained by looking up each end id among
 the start ids, and one Python step per segment walks the chains.  Each
-contour is written as one polyline, one M per chain with every shared
-point once, and Z closing a closed chain.  Poles are drawn as red markers,
-supports as yellow markers, the domain boundary in black as one polyline,
-and a labeled vertical colorbar, one rect filled with a two-stop linear
-gradient, shows the level scale.  Output is byte-stable: all coordinates
-are formatted with a fixed precision and iteration order.
+contour is written as one path of polylines, one per chain with every
+shared point once: an absolute M at its first point (%.2f), one l and its
+relative steps, and Z closing a closed chain.  A step is the exact
+difference of the integer hundredths that %.2f prints for consecutive
+points, in its shortest decimal, so every point decodes to its own %.2f.
+Poles are drawn as red markers and supports as yellow ones, each kind one
+group holding the shared fill and stroke attributes; the domain boundary
+is one black polyline; and a labeled vertical colorbar, one rect filled
+with a two-stop linear gradient, its ticks one path and its labels one
+group holding the font attributes, shows the level scale.  Output is
+byte-stable: all coordinates are formatted with a fixed precision and
+iteration order.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -56,11 +64,12 @@ def marching_squares(xs, ys, grid, level):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ny, nx = g.shape
+    above = (g > level).view(np.uint8)
+    code = (above[:-1, :-1] | above[:-1, 1:] << 1
+            | above[1:, 1:] << 2 | above[1:, :-1] << 3)
+    # code - 1 wraps 0 to 255, so this drops the codes 0 and 15
+    jj, ii = np.unravel_index(np.flatnonzero(code - np.uint8(1) < 14), code.shape)
     corners = (g[:-1, :-1], g[:-1, 1:], g[1:, 1:], g[1:, :-1])
-    code = np.zeros(corners[0].shape, dtype=np.uint8)
-    for k, c in enumerate(corners):
-        code |= (c > level).astype(np.uint8) << k
-    jj, ii = np.nonzero((code != 0) & (code != 15))
     v0, v1, v2, v3 = (c[jj, ii] for c in corners)
     with np.errstate(invalid="ignore"):  # NaN at opposite infinite corners
         center_above = (v0 + v1 + v2 + v3) / 4 > level
@@ -115,12 +124,59 @@ def _fracs(a, b, level):
 
 
 def _path(points, sizes, closed):
-    """SVG path data of consecutive polylines: sizes[c] rows of the (m, 2)
-    points each, one M per polyline and Z after a closed one, every
-    coordinate formatted %.2f by one %-format."""
-    fmt = "".join("M%.2f %.2f" + "L%.2f %.2f" * (n - 1) + "Z" * bool(c)
-                  for n, c in zip(sizes, closed))
-    return fmt % tuple(points.ravel().tolist())
+    """SVG path data of consecutive polylines: sizes[c] >= 2 rows of the
+    (m, 2) points each.  A polyline is M and its first point at %.2f, then
+    one l and its steps, then Z if it is closed.  A step is the exact
+    difference of the integer hundredths that %.2f prints for consecutive
+    points, so every point decodes to its own %.2f.  One %-format prints
+    every coordinate, and the hundredths are Python integers, exact at any
+    magnitude."""
+    text = ("%.2f " * points.size) % tuple(_finite(points).ravel().tolist())
+    coords = text.split()
+    cents = list(map(int, text.replace(".", "").split()))
+    # step k is coordinate k + 2 minus coordinate k; a polyline of points
+    # a..b-1 takes steps 2a..2b-3
+    start = np.cumsum([0, *sizes]).tolist()
+    first = np.zeros(len(cents) - 2, dtype=bool)
+    first[[2 * a for a in start[:-1]]] = True
+    steps, ends = _decimals(list(map(operator.sub, cents[2:], cents[:-2])), first)
+    return "".join(
+        "M%s %sl%s%s" % (coords[2 * a], coords[2 * a + 1],
+                         steps[ends[2 * a]:ends[2 * b - 2]], "Z" * bool(c))
+        for a, b, c in zip(start, start[1:], closed))
+
+
+def _finite(xy):
+    """xy, once every plot coordinate in it is checked to be finite."""
+    if not np.all(np.isfinite(xy)):
+        raise ValueError("a plot coordinate overflows: the window is too "
+                         "small for what is drawn")
+    return xy
+
+
+def _decimals(cents, first):
+    """The Python integers cents as hundredths in their shortest exact
+    decimals (no trailing zeros, no leading 0), written one after another:
+    a negative one after its -, another after a space, or after nothing
+    where first is set.  Also returns the offsets that bound them in that
+    string: 0, then where each one ends."""
+    # every number as sign and zero-padded digits of one width, then one
+    # kept-character mask over that character matrix
+    width = max(4, len(str(max(map(abs, cents), default=0))) + 1)
+    text = (f"%+0{width}d" * len(cents)) % tuple(cents)
+    chars = np.frombuffer(text.replace("+", " ").encode(), np.uint8)
+    # sign, integer digits, point, two decimals
+    chars = np.insert(chars.reshape(-1, width), width - 2, ord("."), axis=1)
+    digit = chars != ord("0")
+    keep = np.empty_like(digit)
+    keep[:, 0] = (chars[:, 0] == ord("-")) | ~first
+    keep[:, 1:-3] = np.logical_or.accumulate(digit[:, 1:-3], axis=1)
+    keep[:, -1] = digit[:, -1]
+    keep[:, -2] = digit[:, -2] | keep[:, -1]
+    keep[:, -3] = keep[:, -2]
+    keep[:, -4] |= ~keep[:, -3]    # 0, where nothing else is left
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return chars[keep].tobytes().decode(), [0, *ends]
 
 
 def _level_color(t):
@@ -182,9 +238,7 @@ def render_potential_svg(field, domain=None):
         written[last[closed], 1] = False
         d = _path(segs.reshape(-1, 2, 2)[written],
                   last - first + 2 - closed, closed)
-        parts.append(
-            f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1"/>'
-        )
+        parts.append(f'<path d="{d}" fill="none" stroke="{color}"/>')
 
     if domain is not None:
         bpts = geometry.boundary_samples(domain, 400)
@@ -195,15 +249,15 @@ def render_potential_svg(field, domain=None):
             f'<path d="{d}" fill="none" stroke="black" stroke-width="1.5"/>'
         )
 
-    for p in field.pole_list:
+    # poles red, supports yellow: each kind one group of circles
+    for color, r, points in (("#d62728", 4, field.pole_list),
+                             ("#ffd500", 3.5, field.supports)):
+        xy = _finite(np.column_stack([px(points.real), py(points.imag)]))
         parts.append(
-            f'<circle cx="{px(p.real):.2f}" cy="{py(p.imag):.2f}" r="4" '
-            f'fill="#d62728" stroke="black" stroke-width="0.5"/>'
-        )
-    for s in field.supports:
-        parts.append(
-            f'<circle cx="{px(s.real):.2f}" cy="{py(s.imag):.2f}" r="3.5" '
-            f'fill="#ffd500" stroke="black" stroke-width="0.5"/>'
+            f'<g fill="{color}" stroke="black" stroke-width="0.5">'
+            + (f'<circle cx="%.2f" cy="%.2f" r="{r}"/>' * len(xy))
+            % tuple(xy.ravel().tolist())
+            + "</g>"
         )
 
     # colorbar
@@ -215,16 +269,14 @@ def render_potential_svg(field, domain=None):
         f'<rect x="{bar_x}" y="{margin}" width="{bar_w}" height="{plot_h}" '
         f'fill="url(#bar)" stroke="black" stroke-width="1"/>'
     )
-    for level in field.levels:
-        t = (float(level) - lmin) / span
-        y = margin + (1.0 - t) * plot_h
-        parts.append(
-            f'<line x1="{bar_x + bar_w}" y1="{y:.2f}" '
-            f'x2="{bar_x + bar_w + 5}" y2="{y:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{bar_x + bar_w + 8}" y="{y + 4:.2f}" '
-            f'font-family="sans-serif" font-size="12">{int(level)}</text>'
-        )
+    ticks = [(int(level), margin + (1.0 - (float(level) - lmin) / span) * plot_h)
+             for level in field.levels]
+    parts.append('<path d="' + "".join(f"M{bar_x + bar_w} {y:.2f}h5"
+                                       for _, y in ticks)
+                 + '" stroke="black" fill="none"/>')
+    parts.append('<g font-family="sans-serif" font-size="12">'
+                 + "".join(f'<text x="{bar_x + bar_w + 8}" y="{y + 4:.2f}">'
+                           f'{level}</text>' for level, y in ticks)
+                 + "</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratapprox import aaa, analysis, cli, geometry, polyfit, potential
+from ratapprox import aaa, analysis, cli, geometry, polyfit, potential, svgplot
 from ratapprox.aaa import BarycentricRational
 from ratapprox.cli import (
     UsageError,
@@ -22,6 +24,7 @@ from ratapprox.cli import (
     parse_window,
 )
 from ratapprox.geometry import Disk, FunctionSpec, Horseshoe, Interval, SampleSet
+from svgpath import plot_map, polylines, printed
 
 
 def circle(n):
@@ -337,6 +340,52 @@ def test_potential_command(tmp_path):
     assert 'fill="#ffd500"' in text      # support markers
 
 
+def test_potential_steps_are_exact_far_outside_a_tiny_window(tmp_path,
+                                                            monkeypatch):
+    # the unit circle lies ~3e202 px outside this window: %.2f prints
+    # 200-digit coordinates there, and int64 steps would overflow
+    model_path = tmp_path / "model.json"
+    main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--out",
+          str(model_path)])
+    fields = []
+    render = svgplot.render_potential_svg
+    monkeypatch.setattr(svgplot, "render_potential_svg", lambda field, domain:
+                        fields.append(field) or render(field, domain))
+    rc = main(["potential", "--model", str(model_path),
+               "--window=-1e-200,1e-200,-1e-200,1e-200",
+               "--domain", "disk:0,0,1", "--res", "32",
+               "--out", str(tmp_path / "plot.svg")])
+    assert rc == 0
+    svg = (tmp_path / "plot.svg").read_text()
+    ElementTree.fromstring(svg)
+    (field,) = fields
+    px, py = plot_map(field)
+    z = geometry.boundary_samples(Disk(0j, 1.0), 400)
+    (boundary,) = re.findall(r'<path d="([^"]*)" fill="none" stroke="black" '
+                             r'stroke-width="1.5"/>', svg)
+    expected = list(zip(map(printed, px(z.real).tolist()),
+                        map(printed, py(z.imag).tolist())))
+    assert polylines(boundary) == [(expected, True)]
+    assert max(map(len, re.findall(r"[0-9]+", boundary))) > 200
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("domain", [["--domain", "disk:0,0,1"], []],
+                         ids=["boundary", "markers"])
+def test_plot_coordinates_that_overflow_are_a_failure(domain, tmp_path, capsys):
+    # the unit circle and the model's poles and supports lie up to ~3e309
+    # px outside this window, past the largest float
+    model_path = tmp_path / "model.json"
+    main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--out",
+          str(model_path)])
+    rc = main(["potential", "--model", str(model_path),
+               "--window=-1e-307,1e-307,-1e-307,1e-307", *domain,
+               "--res", "32", "--out", str(tmp_path / "plot.svg")])
+    assert rc == 1
+    assert "a plot coordinate overflows" in capsys.readouterr().err
+    assert not (tmp_path / "plot.svg").exists()
+
+
 def test_bad_number_in_window_is_usage_error(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     main(["fit", "--fn", "exp", "--domain", "disk:0,0,1", "--out",
@@ -379,6 +428,9 @@ def test_too_few_samples_is_usage_error(command, tmp_path, capsys):
 
 def test_invalid_figure_id_is_usage_error(tmp_path):
     assert main(["figure", "7", "--out", str(tmp_path)]) == 2
+    # every id is checked before any figure runs
+    assert main(["figure", "1", "7", "--out", str(tmp_path)]) == 2
+    assert os.listdir(tmp_path) == []
 
 
 def test_unknown_function_is_usage_error(tmp_path):
@@ -761,6 +813,24 @@ def test_figure_bytes_do_not_depend_on_unset_thread_variables(run_python,
     for name in names:
         assert ((tmp_path / "unset" / name).read_bytes()
                 == (tmp_path / "one" / name).read_bytes()), name
+
+
+def test_several_figure_ids_write_what_one_id_runs_write(run_python,
+                                                         tmp_path):
+    names = ("convergence.csv", "model.json", "potential.svg", "report.json")
+    ids = [str(n) for n in range(1, 7)]
+    proc = run_python("-m", "ratapprox", "figure", *ids, "--out",
+                      str(tmp_path / "all"))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path / "all")) == [f"fig{n}" for n in ids]
+    for n in ids:
+        proc = run_python("-m", "ratapprox", "figure", n, "--out",
+                          str(tmp_path / n))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(os.listdir(tmp_path / n)) == sorted(names)
+        for name in names:
+            assert ((tmp_path / "all" / f"fig{n}" / name).read_bytes()
+                    == (tmp_path / n / name).read_bytes()), (n, name)
 
 
 def test_thread_count_set_by_the_user_is_kept(run_python):

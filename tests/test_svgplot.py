@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratapprox import cli, svgplot
+from ratapprox import cli, geometry, svgplot
 from ratapprox.geometry import Disk
 from ratapprox.potential import potential_grid
+from svgpath import hundredths, plot_map, polylines, printed
 
 
 def _circle_input():
@@ -239,47 +240,45 @@ def test_render_svg_structure():
     assert svg.startswith("<svg")
     assert svg.count("<circle") == 3          # 1 pole + 2 supports
     assert "<path" in svg and "<text" in svg  # contours and colorbar labels
+    # the ticks are one path, the labels one group with the font attributes
+    ticks = re.findall(r'<path d="((?:M744 [0-9.]+h5)+)" stroke="black" '
+                       r'fill="none"/>', svg)
+    labels = re.findall(r'<g font-family="sans-serif" font-size="12">((?:<text '
+                        r'x="752" y="[0-9.]+">-?[0-9]+</text>)+)</g>', svg)
+    assert [t.count("M") for t in ticks] == [len(f.levels)]
+    assert [t.count("<text") for t in labels] == [len(f.levels)]
     assert svg == svgplot.render_potential_svg(f, Disk(0j, 1.0))  # stable
 
 
 def _polyline_pairs(d):
     """The segments an SVG path's polylines draw, as _undirected pairs of
-    (x, y) coordinate strings; a Z closes its polyline with a pair back to
-    its start."""
+    (x, y) points in integer hundredths; a Z closes its polyline with a pair
+    back to its start."""
     pairs = []
-    for chain, z in re.findall(r"(M[^MZ]*)(Z?)", d):
-        pts = [tuple(p.split(" ")) for p in re.split("[ML]", chain)[1:]]
-        pairs += zip(pts, pts[1:] + pts[:1] * bool(z))
+    for points, closed in polylines(d):
+        pairs += zip(points, points[1:] + points[:1] * closed)
     return _undirected(pairs)
 
 
 def test_render_svg_pins_contour_bytes_and_gradient_colorbar():
     # phi = (z^2 - 2i) / (z^2 + 2i) has a saddle of log10|phi| at 0 on level
     # 0, in a saddle cell; each contour path must draw the segments of the
-    # reference, each point with the bytes of an f-string
+    # reference, each point decoding to its %.2f
     f = potential_grid([1 + 1j, -1 - 1j], [1 - 1j, -1 + 1j], (-3, 3, -3, 3),
                        (64, 64))
     g = f.log_abs_phi
     assert 10 in [_cell_code(_cell_values(g, j, i), 0.0)
                   for j in range(63) for i in range(63)]
     svg = svgplot.render_potential_svg(f, Disk(0j, 1.0))
-    xmin, xmax, ymin, ymax = f.window
-    plot_h = int(round(svgplot.plot_height(f.window)))
-
-    def px(x):
-        return 40 + (x - xmin) / (xmax - xmin) * svgplot.PLOT_WIDTH
-
-    def py(y):
-        return 40 + (ymax - y) / (ymax - ymin) * plot_h
-
+    px, py = plot_map(f)
     xs, ys = f.cell_centers()
     expected = []
     for level in f.levels:
         segs = _reference_marching_squares(xs, ys, g, float(level))
         if segs:
             expected.append(_undirected(
-                ((f"{px(a[0]):.2f}", f"{py(a[1]):.2f}"),
-                 (f"{px(b[0]):.2f}", f"{py(b[1]):.2f}")) for a, b in segs))
+                ((printed(px(a[0])), printed(py(a[1]))),
+                 (printed(px(b[0])), printed(py(b[1])))) for a, b in segs))
     contours = re.findall(r'<path d="([^"]*)" fill="none" stroke="#', svg)
     assert [_polyline_pairs(d) for d in contours] == expected
     assert all(d.count("M") < len(pairs) for d, pairs in zip(contours, expected))
@@ -292,38 +291,87 @@ def test_render_svg_pins_contour_bytes_and_gradient_colorbar():
     assert 'fill="white"' in rects[0] and 'fill="url(#bar)"' in rects[1]
 
 
-def test_figure_contours_draw_the_segments_and_parse(tmp_path, monkeypatch):
-    # the per-cell reference takes seconds on a figure's 220-wide grid, so
-    # each level is checked against marching_squares' own rows, which the
-    # oracle tests above check against the reference
+@pytest.fixture(scope="module")
+def drawn(tmp_path_factory):
+    """(field, domain, svg) of each of the six figures, then of a potential
+    plot whose window cuts the unit disk, so that some of its boundary's
+    coordinates are negative."""
+    out = tmp_path_factory.mktemp("drawn")
     calls = []
     render = svgplot.render_potential_svg
 
     def recording(field, domain=None):
-        calls.append(field)
+        calls.append((field, domain))
         return render(field, domain)
 
-    monkeypatch.setattr(svgplot, "render_potential_svg", recording)
-    for n in range(1, 7):
-        cli.run_figure(n, str(tmp_path / str(n)))
-    assert len(calls) == 6
-    for n, field in enumerate(calls, 1):
-        svg = (tmp_path / str(n) / "potential.svg").read_text()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svgplot, "render_potential_svg", recording)
+        for n in range(1, 7):
+            cli.run_figure(n, str(out / str(n)))
+        assert cli.main(["potential", "--model", str(out / "1" / "model.json"),
+                         "--window=0,2,-2,0", "--domain", "disk:0,0,1",
+                         "--res", "64", "--out", str(out / "cut.svg")]) == 0
+    paths = [out / str(n) / "potential.svg" for n in range(1, 7)] + [out / "cut.svg"]
+    assert len(calls) == len(paths)
+    return [(*call, path.read_text()) for call, path in zip(calls, paths)]
+
+
+def test_figure_contours_draw_the_segments_and_parse(drawn):
+    # the per-cell reference takes seconds on a figure's 220-wide grid, so
+    # each level is checked against marching_squares' own rows, which the
+    # oracle tests above check against the reference
+    for field, _, svg in drawn:
         ElementTree.fromstring(svg)
-        xmin, xmax, ymin, ymax = field.window
-        plot_h = int(round(svgplot.plot_height(field.window)))
+        px, py = plot_map(field)
         xs, ys = field.cell_centers()
         expected = []
         for level in field.levels:
             segs = svgplot.marching_squares(xs, ys, field.log_abs_phi, float(level))
             if len(segs):
                 pts = segs.reshape(-1, 2)
-                pts[:, 0] = 40 + (pts[:, 0] - xmin) / (xmax - xmin) * svgplot.PLOT_WIDTH
-                pts[:, 1] = 40 + (ymax - pts[:, 1]) / (ymax - ymin) * plot_h
-                s = [(f"{x:.2f}", f"{y:.2f}") for x, y in pts.tolist()]
+                s = list(zip(map(printed, px(pts[:, 0]).tolist()),
+                             map(printed, py(pts[:, 1]).tolist())))
                 expected.append(_undirected(zip(s[0::2], s[1::2])))
         contours = re.findall(r'<path d="([^"]*)" fill="none" stroke="#', svg)
         assert [_polyline_pairs(d) for d in contours] == expected
+
+
+def test_figure_boundaries_and_markers_decode_to_their_points(drawn):
+    for field, domain, svg in drawn:
+        px, py = plot_map(field)
+        z = geometry.boundary_samples(domain, 400)
+        (boundary,) = re.findall(
+            r'<path d="([^"]*)" fill="none" stroke="black" stroke-width="1.5"/>', svg)
+        expected = list(zip(map(printed, px(z.real).tolist()),
+                            map(printed, py(z.imag).tolist())))
+        assert polylines(boundary) == [
+            (expected, not isinstance(domain, geometry.Interval))]
+        # each marker kind is one group, each circle only its cx, cy and r
+        for color, r, points in (("#d62728", "4", field.pole_list),
+                                 ("#ffd500", "3.5", field.supports)):
+            (group,) = re.findall(f'<g fill="{color}" stroke="black" '
+                                  f'stroke-width="0.5">(.*?)</g>', svg)
+            circles = re.findall(f'<circle cx="([^"]*)" cy="([^"]*)" r="{r}"/>', group)
+            assert group == "".join(f'<circle cx="{x}" cy="{y}" r="{r}"/>'
+                                    for x, y in circles)
+            assert [(hundredths(x), hundredths(y)) for x, y in circles] == [
+                (printed(px(p.real)), printed(py(p.imag))) for p in points]
+    assert min(x for x, _ in expected) < 0 and min(y for _, y in expected) < 0
+
+
+_COORD = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lines=st.lists(st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=8),
+                      min_size=1, max_size=4),
+       closed=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_path_points_decode_to_their_printed_hundredths(lines, closed):
+    # any finite double, up to the 309 digits %.2f prints for the largest
+    d = svgplot._path(np.array([p for line in lines for p in line]),
+                      [len(line) for line in lines], closed[:len(lines)])
+    assert polylines(d) == [([(printed(x), printed(y)) for x, y in line], c)
+                            for line, c in zip(lines, closed)]
 
 
 def test_level_color_is_affine_within_rounding():
