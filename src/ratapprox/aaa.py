@@ -10,7 +10,8 @@ linalg.BLOCK_ROWS sample rows, each with its own Householder QR that
 takes the new column in O(rows * degree).  The block that lost the new
 support's row is factored again at once from its raw Loewner rows,
 recomputed from the samples with the new column, so nothing is
-downdated.  The singular pair comes from linalg.min_singular_right_vector
+downdated; the other blocks' rows of the new column are built once, in
+one call.  The singular pair comes from linalg.min_singular_right_vector
 on the blocks' R factors, stacked; on at most BLOCK_ROWS samples that is
 the SVD of the R of the Loewner matrix itself.  The error of a step comes
 from a C-ordered cache of the Cauchy matrix 1 / (Z - z_c) over all
@@ -18,16 +19,21 @@ samples, one column per support, into which each step writes only its new
 column.  The cache grows _CAUCHY_GROWTH columns at a time: when it is
 full, it is freed and a wider one is filled again from the supports, so
 memory follows the columns a fit reaches.  The report carries the whole
-trajectory: the error, sigma_min and model of every step.
+trajectory, the error, sigma_min and model of every step, and the R
+factor of the last model's Loewner matrix: the blocks' R, stacked and
+factored once after the last step.
 
 Removing spurious pole-zero pairs with negligible residue is a separate
 step, cleanup, which the caller applies to the model it returns.  In
 rounds, it drops the support nearest every such pole at once and re-solves
-on one R factor of the Loewner matrix, which it never updates, and it
-takes the returned weights from one fresh solve on the final supports.
+on the report's R factor, which it never updates, so the only QR of the
+samples that cleanup makes is the fresh solve on the final supports that
+gives the returned weights.
 Since the greedy choices do not depend on the stop rule, a fit at a looser
 tol or a lower max_degree is a prefix of a longer trajectory, and truncate
-cuts it out, so one greedy run can serve a degree sweep and a preset fit.
+cuts it out, so one greedy run can serve a degree sweep and a preset fit;
+the cut model's R comes from the longer run's and the few Loewner rows of
+the supports the cut drops.
 
 Poles are the finite eigenvalues of an arrowhead pencil, from
 linalg.arrowhead_eigenvalues: a numpy shift-and-invert eigenvalue solve
@@ -118,13 +124,20 @@ class FitReport:
     """A greedy trajectory, and after cleanup the model it returns.
 
     converged says that final_error, the max error of model over the
-    non-support samples, is at most tol * max|values|.
+    non-support samples, is at most tol * max|values|.  r is an R factor of
+    the model's Loewner matrix: its rows are the samples that are not
+    supports, its columns the supports in the model's order, and the values
+    in it are divided by t = linalg.pow2_scale(values), the units in which
+    the greedy and cleanup solve.  It has that matrix's singular values
+    and right singular vectors, and is how cleanup starts without
+    factoring the samples again.
     """
 
     model: BarycentricRational
     history: tuple          # ((degree, max_error), ...) over the greedy run
     converged: bool
     tol: float              # the relative tolerance the fit was run at
+    r: np.ndarray = field(repr=False)
     cleanup_removed: int = 0
     final_error: float = np.nan
     snapshots: tuple = field(default=(), repr=False)   # the model of each step
@@ -243,8 +256,9 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
     max_degree >= 0 is accepted and capped at M // 2 - 1 on M samples, the
     last step whose Loewner matrix over the non-support samples
     (M - degree - 1 rows, degree + 1 columns) is not wide.  The returned
-    report carries the last step's model and error, and the error,
-    sigma_min and model of every step.  Pass it to cleanup before
+    report carries the last step's model and error, the error, sigma_min
+    and model of every step, and as r the R factor of the blocks' R
+    factors stacked after the last step.  Pass it to cleanup before
     returning its model to a user.
 
     Each step divides one new Cauchy column 1 / (Z - Z[j]) into a cache of
@@ -313,6 +327,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         if converged:
             break
         next_j = int(rows[np.argmax(resid)])
+    r = linalg.r_factor(L.stack())
     z, f, w = Z[cols], F[cols], W[:cols.size]
     snapshots = tuple(BarycentricRational(z[:k + 1], f[:k + 1], w[k, :k + 1])
                       for k in range(cols.size))
@@ -321,6 +336,7 @@ def aaa_fit(samples, tol=1e-12, max_degree=150):
         history=tuple(history),
         converged=converged,
         tol=tol,
+        r=r,
         final_error=history[-1][1],
         snapshots=snapshots,
         sigma_min=tuple(sigma_min),
@@ -333,17 +349,27 @@ def truncate(report, samples, tol, max_degree):
     report must come from aaa_fit on the same samples at a tol no larger
     than tol.  Its trajectory is cut at the first step whose error meets
     tol * max|values|, or at max_degree; that is the step where the shorter
-    fit stops, and every step before it is the same.  Raises ValueError if
-    report stops before that step.
+    fit stops, and every step before it is the same.  The cut model's r
+    factors a small matrix: the leading k + 1 columns of report.r, for the
+    cut's k + 1 supports, stacked over the Loewner rows of the supports the
+    cut drops.  Raises ValueError if report stops before that step, or if
+    cleanup changed its model, whose r then has other columns.
     """
-    bound = tol * float(np.max(np.abs(samples.values)))
+    if report.model is not report.snapshots[-1]:
+        raise ValueError("truncate needs a report of aaa_fit, not of cleanup")
+    Z, F = samples.points, samples.values
+    bound = tol * float(np.max(np.abs(F)))
     for k, (degree, err) in enumerate(report.history):
         if err <= bound or degree >= max_degree:
+            cols = _sample_indices(Z, report.model.supports)
+            dropped = _loewner(Z, F / linalg.pow2_scale(F), cols[k + 1:],
+                               cols[:k + 1])
             return FitReport(
                 model=report.snapshots[k],
                 history=report.history[:k + 1],
                 converged=err <= bound,
                 tol=tol,
+                r=linalg.r_factor(np.vstack([report.r[:k + 1, :k + 1], dropped])),
                 final_error=err,
                 snapshots=report.snapshots[:k + 1],
                 sigma_min=report.sigma_min[:k + 1],
@@ -395,19 +421,20 @@ def cleanup(report, samples):
     compared divided by t * s, for the powers of two t = pow2_scale(values)
     and s = pow2_scale(points), so that neither overflows.  Each round
     drops the support nearest every spurious pole at once and re-solves the
-    weights, until a model has no spurious pole.  The Loewner matrix of the
-    samples free before cleanup is QR-factored once, in the first round, and
-    R is never updated: a round solves the kept columns of R stacked over
-    the dropped supports' Loewner rows, which has the singular values and
-    right singular vectors of the free samples' Loewner matrix over the kept
+    weights, until a model has no spurious pole.  The rounds start from
+    report.r, the R factor that the greedy (or truncate) left, and never
+    update it: a round solves the kept columns of R stacked over the
+    dropped supports' Loewner rows, which has the singular values and right
+    singular vectors of the free samples' Loewner matrix over the kept
     supports.  When a round leaves no spurious pole, the weights are solved
-    once more from the Loewner matrix of the free samples on the final
-    supports, and the check is repeated on that fresh model.  The returned
-    report carries the cleaned model, the number of dropped supports, its
-    max error over the non-support samples as final_error, and converged
-    re-judged on that error against the report's tol.  History and snapshots
-    stay the greedy run's.  Raises ValueError if a support of the model is
-    not one of the samples' points.
+    once more, fresh, from the R factor of the Loewner matrix of the free
+    samples on the final supports, the one QR of the samples that cleanup
+    makes, and the check is repeated on that fresh model.  The returned
+    report carries the cleaned model and that R, the number of dropped
+    supports, its max error over the non-support samples as final_error,
+    and converged re-judged on that error against the report's tol.
+    History and snapshots stay the greedy run's.  Raises ValueError if a
+    support of the model is not one of the samples' points.
     """
     Z, F = samples.points, samples.values
     fscale = float(np.max(np.abs(F)))
@@ -416,20 +443,13 @@ def cleanup(report, samples):
     thresh = 1e-13 * (fscale / t) * _diameter(Z / s)
     Ft = F / t
     model = report.model
-    # the supports' sample indices, from one sorted lookup: the samples are
-    # pairwise distinct, so a support found is found exactly
-    order = np.argsort(Z)
-    cols = order[np.searchsorted(Z[order], model.supports).clip(max=Z.size - 1)]
-    if not np.array_equal(Z[cols], model.supports):
-        raise ValueError("the model's supports must be sample points")
+    R = r = report.r
+    cols = _sample_indices(Z, model.supports)
     keep = np.ones(cols.size, dtype=bool)
     free = np.ones(Z.size, dtype=bool)
     free[cols] = False
-    R = None
     spurious = _spurious_poles(model, thresh, t, s)
     while spurious.size:
-        if R is None:
-            R = linalg.r_factor(_loewner(Z, Ft, free, cols))
         nearest = np.argmin(np.abs(spurious[:, None] - model.supports), axis=1)
         keep[np.flatnonzero(keep)[nearest]] = False
         _, w = linalg.min_singular_right_vector(
@@ -438,15 +458,28 @@ def cleanup(report, samples):
         spurious = _spurious_poles(model, thresh, t, s)
         if not spurious.size:
             free[cols[~keep]] = True
-            _, w = linalg.min_singular_right_vector(
-                _loewner(Z, Ft, free, cols[keep]))
+            # on at least twice as many rows as columns, this QR is
+            # min_singular_right_vector's own first step: the same w
+            r = linalg.r_factor(_loewner(Z, Ft, free, cols[keep]))
+            _, w = linalg.min_singular_right_vector(r)
             model = BarycentricRational(Z[cols[keep]], F[cols[keep]], w)
             spurious = _spurious_poles(model, thresh, t, s)
     final_error = _max_error(model, samples)
     return replace(
-        report, model=model, cleanup_removed=int(np.count_nonzero(~keep)),
+        report, model=model, r=r, cleanup_removed=int(np.count_nonzero(~keep)),
         final_error=final_error, converged=final_error <= report.tol * fscale,
     )
+
+
+def _sample_indices(Z, points):
+    """The indices of points among the samples Z, from one sorted lookup:
+    the samples are pairwise distinct, so a point found is found exactly.
+    Raises ValueError if a point is not a sample."""
+    order = np.argsort(Z)
+    idx = order[np.searchsorted(Z[order], points).clip(max=Z.size - 1)]
+    if not np.array_equal(Z[idx], points):
+        raise ValueError("the model's supports must be sample points")
+    return idx
 
 
 def _spurious_poles(model, thresh, t, s):

@@ -10,7 +10,8 @@ true, so a caller can reuse a small R instead of re-factoring a tall A.
 RowBlockedR keeps a tall matrix that loses a row and gains a column at
 each step as the R factors of blocks of its rows, and never downdates: a
 block that loses a row is factored again at once from its raw rows, and
-the others take the new column through their Householder reflectors.
+the others take the new column, built once over all their rows, through
+their Householder reflectors.
 Every reflector is LAPACK's (larfg, through numpy's QR).
 Real input is factored in real (float64) arithmetic and complex input in
 complex128.  The complex eigenvalues of a real matrix come in conjugate
@@ -91,14 +92,16 @@ class RowBlockedR:
     entries(rows, cols) returns A[rows][:, cols] for an index array rows
     and a slice cols.  step(i) removes row i and factors the block that held
     it again, with the new column, by numpy's Householder QR (LAPACK geqrf):
-    nothing is downdated.  Each other block applies its Q^H to the new
-    column in compact WY form, Q = I - V T V^H (Schreiber and Van Loan,
-    1989), and forms one more reflector by numpy's QR of the column's
-    trailing part (LAPACK larfg), in O(rows * cols).  V and T come
-    from a factor's reflectors and tau, T^-1 = striu(V^H V) + diag(1/tau),
-    only when the block first takes a column after it; a single block loses
-    a row at every step and never forms them.  stack() has the singular
-    values and right singular vectors of A[rows, :cols]: the blocks' R.
+    nothing is downdated.  The new column of every other block comes from
+    one entries call over all their rows, sliced per block, and each such
+    block applies its Q^H to its slice in compact WY form, Q = I - V T V^H
+    (Schreiber and Van Loan, 1989), and forms one more reflector by numpy's
+    QR of the column's trailing part (LAPACK larfg), in O(rows * cols).
+    V and T come from a factor's reflectors and tau, T^-1 = striu(V^H V) +
+    diag(1/tau), only when the block first takes a column after it; a
+    single block loses a row at every step and never forms them.  stack()
+    has the singular values and right singular vectors of A[rows, :cols]:
+    the blocks' R.
     """
 
     def __init__(self, entries, m, max_cols, dtype):
@@ -121,17 +124,22 @@ class RowBlockedR:
     def step(self, i):
         """Remove row i of A, then append column self.cols of A."""
         lost = i // BLOCK_ROWS
-        self._rows[lost] = self._rows[lost][self._rows[lost] != i]
+        rows = self._rows[lost] = self._rows[lost][self._rows[lost] != i]
         self.cols += 1
-        for b, rows in enumerate(self._rows):
-            if rows.size and b == lost:
-                self._geqrf[b] = None   # free the last factor first
-                h, tau = np.linalg.qr(self._entries(rows, slice(0, self.cols)),
-                                      mode="raw")
-                self._geqrf[b] = h.T, tau
-                self._R[b][:tau.size, :self.cols] = np.triu(h.T[:tau.size])
-            elif rows.size:
-                self._append(b)
+        if rows.size:
+            self._geqrf[lost] = None    # free the last factor first
+            h, tau = np.linalg.qr(self._entries(rows, slice(0, self.cols)),
+                                  mode="raw")
+            self._geqrf[lost] = h.T, tau
+            self._R[lost][:tau.size, :self.cols] = np.triu(h.T[:tau.size])
+        others = [b for b, r in enumerate(self._rows) if r.size and b != lost]
+        if others:
+            # the new column over the other blocks' rows, built in one call
+            col = self._entries(np.concatenate([self._rows[b] for b in others]),
+                                slice(self.cols - 1, self.cols))[:, 0]
+            ends = np.cumsum([self._rows[b].size for b in others])
+            for b, a in zip(others, np.split(col, ends[:-1])):
+                self._append(b, a)
 
     def _form_wy(self, b, n):
         h, tau = self._geqrf[b]
@@ -152,13 +160,13 @@ class RowBlockedR:
         np.fill_diagonal(Tinv, 1 / np.where(none, 1, tau))
         T[:k, :k] = np.linalg.inv(Tinv)
 
-    def _append(self, b):
+    def _append(self, b, a):
+        """Append column a, block b's rows of the new column, to its R."""
         c, n, R = self.cols - 1, self._rows[b].size, self._R[b]
         if self._geqrf[b] is not None:
             self._form_wy(b, n)
         V, T = self._wy[b][0][:n], self._wy[b][1]
         k = min(n, c)
-        a = self._entries(self._rows[b], slice(c, c + 1))[:, 0]
         if k:   # a = Q^H a
             a -= V[:, :k] @ (a.conj() @ V[:, :k] @ T[:k, :k]).conj()
         R[:k, c] = a[:k]

@@ -108,7 +108,9 @@ def phi(z, supports, pole_list):
 
 
 def potential_grid(supports, pole_list, window, resolution):
-    """log10|phi| sampled at cell centers, percentile-clipped for plotting."""
+    """log10|phi| sampled at cell centers, percentile-clipped for plotting,
+    and its contour levels: the integers from the clipped field's minimum
+    to its maximum."""
     xmin, xmax, ymin, ymax = window
     nx, ny = resolution
     if not (xmax > xmin and ymax > ymin):
@@ -127,7 +129,8 @@ def potential_grid(supports, pole_list, window, resolution):
     l_min = l_max - 16.0
     clipped = np.clip(np.nan_to_num(vals, nan=l_min, posinf=l_max, neginf=l_min),
                       l_min, l_max)
-    levels = np.arange(np.ceil(l_min), np.floor(l_max) + 1.0)
+    # the integer levels the clipped field spans, so each tick is on the bar
+    levels = np.arange(np.ceil(clipped.min()), np.floor(l_max) + 1.0)
     return PotentialField(
         window=tuple(float(v) for v in window),
         log_abs_phi=clipped,

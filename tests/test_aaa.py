@@ -768,6 +768,12 @@ def _cleanup_case(case):
     if case == "figure5":
         s = _abs_interval_samples()
         fit = aaa.aaa_fit(s, tol=1e-8, max_degree=60)
+    elif case == "figure5-truncated":
+        # as figure 5 runs it: one trajectory to the study's 1e-13, cut at
+        # the preset's tol
+        s = _abs_interval_samples()
+        fit = aaa.truncate(aaa.aaa_fit(s, tol=1e-13, max_degree=60), s,
+                           1e-8, 60)
     elif case == "abs-500":
         # 44 removals in 21 rounds
         s = _abs_interval_samples()
@@ -826,13 +832,45 @@ def test_a_fit_to_real_data_is_a_real_model(case):
             == aaa.evaluate(m, zc).conj().tobytes())
 
 
-@pytest.mark.parametrize("case", ["figure5", "abs-500", "abs-2000"])
+@pytest.mark.parametrize("case", ["figure5", "figure5-truncated", "abs-500",
+                                  "abs-2000"])
 def test_cleanup_removes_what_the_refactor_oracle_removes(case):
     s, fit, rep = _cleanup_case(case)
     supports, weights, removed = _refactor_cleanup(fit, s)
     assert rep.cleanup_removed == removed
     assert np.array_equal(rep.model.supports, supports)
     assert rep.model.weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("case", ["figure5", "abs-2000"])
+def test_cleanup_factors_the_samples_only_in_its_fresh_solve(case, monkeypatch):
+    # the rounds start from the report's R, so the one QR with at least as
+    # many rows as the samples free before cleanup is the fresh solve on
+    # the final supports
+    s, fit, ref = _cleanup_case(case)
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return qr(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    rep = aaa.cleanup(fit, s)
+    monkeypatch.undo()
+    assert rep.cleanup_removed == ref.cleanup_removed > 0
+    free = s.points.size - fit.model.supports.size
+    k = rep.model.supports.size
+    assert [m for m in shapes if m[0] >= free] == [(s.points.size - k, k)]
+
+
+def test_truncate_rejects_a_cleaned_report():
+    # the cleaned model is not a step of the trajectory, and its r is the
+    # R factor of its own supports, not of the trajectory's
+    s, _, rep = _cleanup_case("figure5")
+    assert rep.cleanup_removed > 0
+    with pytest.raises(ValueError, match="not of cleanup"):
+        aaa.truncate(rep, s, 1e-6, 60)
 
 
 def test_cleanup_with_fewer_free_rows_than_columns():
@@ -846,8 +884,10 @@ def test_cleanup_with_fewer_free_rows_than_columns():
     row = (s.values[21] - f) / (s.points[21] - z)
     w = np.linalg.svd(row[None, :])[2][-1].conj()
     model = aaa.BarycentricRational(z, f, w)
+    # the report's R: its one-row Loewner matrix, in the values' units of t
+    r = linalg.r_factor(row[None, :] / linalg.pow2_scale(s.values))
     fit = aaa.FitReport(model=model, history=((20, 0.0),), converged=True,
-                        tol=1e-13, final_error=0.0, snapshots=(model,))
+                        tol=1e-13, r=r, final_error=0.0, snapshots=(model,))
     rep = aaa.cleanup(fit, s)
     assert rep.model.degree == 1
     assert rep.cleanup_removed == 19
@@ -902,6 +942,49 @@ def test_greedy_weights_are_optimal_on_several_blocks(fn, domain):
         bound = 64 * eps * sv[0]
         assert abs(sigma - sv[-1]) <= bound
         assert abs(np.linalg.norm(L @ snap.weights) - sv[-1]) <= bound
+
+
+@functools.cache
+def _r_case(case, samples):
+    """Samples of a case and its full, truncated and cleaned reports."""
+    fn, domain = _PREFIX_CASES[case]
+    s = ra.sample_function(fn, domain, samples)
+    full = aaa.aaa_fit(s, tol=1e-13, max_degree=60)
+    cut = aaa.truncate(full, s, 1e-6, 60)
+    assert len(cut.history) < len(full.history)
+    return s, {"full": full, "truncated": cut, "cleaned": aaa.cleanup(full, s)}
+
+
+@pytest.mark.parametrize("kind", ["full", "truncated", "cleaned"])
+@pytest.mark.parametrize("samples", [600, 3000], ids=["one-block", "three-blocks"])
+@pytest.mark.parametrize("case", ["abs-interval", "sqrtneg-horseshoe"])
+def test_report_r_has_the_singular_pairs_of_its_models_loewner_matrix(
+        case, samples, kind):
+    # r, in the values' units of pow2_scale, has the singular values of a
+    # fresh SVD of the model's Loewner matrix over the other samples, and
+    # each right singular vector of r is one of that matrix with the same
+    # singular value, to 64 eps sigma_max
+    s, reports = _r_case(case, samples)
+    assert (s.points.size > linalg.BLOCK_ROWS) == (samples > linalg.BLOCK_ROWS)
+    rep = reports[kind]
+    L = _loewner(s, rep.model.supports) / linalg.pow2_scale(s.values)
+    assert rep.r.dtype == L.dtype == s.values.dtype
+    assert rep.r.shape == (rep.model.supports.size,) * 2
+    _, sv, Vh = np.linalg.svd(rep.r)
+    sv_ref = np.linalg.svd(L, compute_uv=False)
+    bound = 64 * np.finfo(float).eps * sv_ref[0]
+    assert np.all(np.abs(sv - sv_ref) <= bound)
+    assert np.all(np.abs(np.linalg.norm(L @ Vh.conj().T, axis=0) - sv) <= bound)
+
+
+@pytest.mark.parametrize("case", ["abs-interval", "sqrtneg-horseshoe"])
+def test_one_block_report_r_is_the_tall_r_factor_bit_for_bit(case):
+    # on one block the stacked R is the block's own, already triangular:
+    # the report's r is the R factor of the gathered Loewner matrix
+    s, reports = _r_case(case, 600)
+    rep = reports["full"]
+    L = _loewner(s, rep.model.supports) / linalg.pow2_scale(s.values)
+    assert rep.r.tobytes() == linalg.r_factor(L).tobytes()
 
 
 @pytest.mark.parametrize("case", ["abs-interval", "sqrtneg-horseshoe"])

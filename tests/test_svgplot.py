@@ -359,6 +359,30 @@ def test_figure_boundaries_and_markers_decode_to_their_points(drawn):
     assert min(x for x, _ in expected) < 0 and min(y for _, y in expected) < 0
 
 
+def test_colorbar_ticks_and_labels_lie_on_the_bar(drawn):
+    # the levels are the integers the clipped field spans, so each tick is
+    # on the bar, and its label's baseline 4 px below it; levels from 16
+    # below the field's top once put 6-9 ticks of each figure under the bar
+    for field, _, svg in drawn:
+        g = field.log_abs_phi
+        assert np.array_equal(field.levels, np.arange(np.ceil(g.min()),
+                                                      np.floor(g.max()) + 1))
+        assert field.levels.size >= 1
+        bar = ElementTree.fromstring(svg).find(
+            "{http://www.w3.org/2000/svg}rect[@fill='url(#bar)']")
+        top = hundredths(bar.get("y"))
+        bottom = top + hundredths(bar.get("height"))
+        (d,) = re.findall(r'<path d="((?:M[0-9]+ [0-9.]+h5)*)" stroke="black" '
+                          r'fill="none"/>', svg)
+        ticks = list(map(hundredths, re.findall(r"M[0-9]+ ([0-9.]+)h5", d)))
+        labels = re.findall(r'<text x="[0-9]+" y="([0-9.]+)">(-?[0-9]+)</text>',
+                            svg)
+        assert len(ticks) == len(labels) == field.levels.size
+        assert all(top <= y <= bottom for y in ticks)
+        assert [hundredths(y) - 400 for y, _ in labels] == ticks
+        assert [int(level) for _, level in labels] == field.levels.tolist()
+
+
 _COORD = st.floats(allow_nan=False, allow_infinity=False)
 
 
