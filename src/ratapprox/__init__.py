@@ -22,7 +22,7 @@ _EXPORTS = {
                  "boundary_samples", "eval_function", "sample_function",
                  "test_grid"),
     "polyfit": ("ArnoldiPolynomial", "va_fit"),
-    "potential": ("ContourSpec", "PotentialField", "phi", "potential_gap",
+    "potential": ("ContourSpec", "PotentialField", "potential_gap",
                   "potential_grid", "walsh_error"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -359,7 +359,7 @@ def run_figure(figure_id, out_dir):
     window = potential.default_window(samples.points, pole_list)
     nx = 220
     ny = max(32, int(round(nx * (window[3] - window[2]) / (window[1] - window[0]))))
-    field = potential.potential_grid(model.supports, pole_list, window, (nx, ny))
+    field = potential.potential_grid(model, window, (nx, ny))
 
     report_json = {
         "figure": figure_id,
@@ -483,9 +483,7 @@ def cmd_potential(args):
                          f"{window}: (res - 0.5) times its width or height "
                          "overflows")
     domain = parse_domain(args.domain) if args.domain else None
-    field = potential.potential_grid(
-        model.supports, model.pole_list, window, (args.res, args.res)
-    )
+    field = potential.potential_grid(model, window, (args.res, args.res))
     _atomic_write(args.out, svgplot.render_potential_svg(field, domain))
     return 0
 

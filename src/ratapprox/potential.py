@@ -1,15 +1,20 @@
 """Potential-field and contour-integral error analysis for rational models.
 
-The potential quotient phi(z) = prod_k (z - z_k) / prod_k (z - pi_k) is
-generated by the interpolation points z_k and the poles pi_k of a rational
-approximant.  Its level sets are plotted on a grid, and the classical
-contour-integral identity
+The potential phi(z) = prod_k (z - z_k) / prod_j (z - p_j) is generated by
+the supports z_k and the poles p_j of a barycentric model.  It is read off
+the model's denominator d(z) = sum_k w_k / (z - z_k) = q(z) / prod_k (z - z_k),
+where q has the poles as its roots, so phi = c / d for a constant c, the
+leading coefficient of q (the sum of the weights when q has degree n).
+Its level sets are plotted on a grid, and the classical contour-integral
+identity
 
     f(z) - r(z) = (1/2 pi i) * integral over Gamma of
-                  phi(z)/phi(t) * f(t)/(t - z) dt
+                  phi(z)/phi(t) * f(t)/(t - z) dt,   phi(z)/phi(t) = d(t)/d(z),
 
-is evaluated by trapezoid quadrature on a circular contour.  A colorbar
-"gap" diagnostic measures the spread of log10|phi| over the plot window.
+is evaluated by trapezoid quadrature on a circular contour.  Neither
+needs a product over the poles; the poles enter only the plot's markers,
+its default window and the colorbar "gap" diagnostic, which measures the
+spread of log10|phi| over the plot window away from supports and poles.
 """
 
 from __future__ import annotations
@@ -19,17 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aaa import BarycentricRational, poles as _poles  # noqa: F401 (see perfbench)
-
-
-class PoleNearContourError(RuntimeError):
-    """A pole of r sits (numerically) on the quadrature contour."""
-
-    def __init__(self, pole, radius):
-        self.pole = pole
-        super().__init__(
-            f"pole {pole} lies within 1e-8 times the radius of the contour; "
-            f"choose a radius different from {radius}"
-        )
+from .analysis import GRID_BLOCK
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,14 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class PotentialField:
+    """A model's potential on a grid, as potential_grid makes it.
+
+    log_abs_phi holds log10|phi| at the cell centers of window, clipped to
+    the 16 decades below its 99.5th percentile, ny rows of nx cells; levels
+    are the integers the clipped field spans.  supports and pole_list are
+    the model's, for the plot's markers and potential_gap's exclusion.
+    """
+
     window: tuple           # (xmin, xmax, ymin, ymax)
     log_abs_phi: np.ndarray  # ny x nx, clipped
     levels: np.ndarray      # strictly increasing integer contour levels
@@ -76,41 +79,23 @@ def _cell_centers(window, resolution):
     return xs, ys
 
 
-def phi(z, supports, pole_list):
-    """The node/pole quotient, with interleaved factors to avoid overflow,
-    computed in the precision of the inputs and never below complex128."""
-    dtype = np.result_type(*map(np.asarray, (z, supports, pole_list)), complex)
-    s = np.asarray(supports, dtype=dtype).ravel()
-    p = np.asarray(pole_list, dtype=dtype).ravel()
-    zv = np.asarray(z, dtype=dtype)
-    scalar = zv.ndim == 0
-    zv = np.atleast_1d(zv)
-    # three buffers, so that a large grid allocates nothing per factor: diff
-    # takes each difference and, in place, the product (z - s_k) * out (a
-    # complex product's rounding depends on the operand order), and a pole
-    # factor's quotient alternates between out and spare
-    out, diff, spare = np.ones_like(zv), np.empty_like(zv), np.empty_like(zv)
-    with np.errstate(all="ignore"):
-        for k in range(max(s.size, p.size)):
-            if k < s.size:
-                np.subtract(zv, s[k], out=diff)
-                out, diff = np.multiply(diff, out, out=diff), out
-            if k < p.size:
-                np.subtract(zv, p[k], out=diff)
-                out, spare = np.divide(out, diff, out=spare), out
-    if p.size:
-        # a cell at a pole was divided by zero, and a non-finite product
-        # stays non-finite, so only the non-finite cells can be at a pole
-        at_pole = ~np.isfinite(out)
-        at_pole[at_pole] = np.isin(zv[at_pole], p)
-        out[at_pole] = complex(np.inf, np.inf)
-    return complex(out[0]) if scalar else out
+def potential_grid(model, window, resolution):
+    """log10|phi| of a barycentric model at the cell centers, percentile-
+    clipped for plotting, and its contour levels: the integers from the
+    clipped field's minimum to its maximum.
 
-
-def potential_grid(supports, pole_list, window, resolution):
-    """log10|phi| sampled at cell centers, percentile-clipped for plotting,
-    and its contour levels: the integers from the clipped field's minimum
-    to its maximum."""
+    The field is log10|c| - log10|d|, with d summed GRID_BLOCK cells at a
+    time, one Cauchy matrix-vector product per block, so no array spans
+    the grid times the supports.  log10|c| is log10|phi d| at one
+    reference point, the cell of largest finite |d|, where one term
+    dominates d's sum, with phi the product form over the supports and the
+    poles the solve returns, summed in logs.  The rule holds for every
+    model, also where the solve drops a far root or q has lower degree
+    than the model.  The field agrees with that product form to d's
+    rounding, which loses digits where the sum cancels: near a pole, and
+    where the weighted terms nearly balance, as far from the supports of a
+    model whose weights sum to 0.
+    """
     xmin, xmax, ymin, ymax = window
     nx, ny = resolution
     if not (xmax > xmin and ymax > ymin):
@@ -118,9 +103,19 @@ def potential_grid(supports, pole_list, window, resolution):
     if nx < 32 or ny < 32:
         raise ValueError("resolution must be at least 32 x 32")
     xs, ys = _cell_centers(window, resolution)
-    zz = xs[None, :] + 1j * ys[:, None]
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    s, w, pole_list = model.supports, model.weights, model.pole_list
+    d = np.empty_like(z)
     with np.errstate(all="ignore"):
-        vals = np.log10(np.abs(phi(zz, supports, pole_list)))
+        for start in range(0, z.size, GRID_BLOCK):
+            block = slice(start, start + GRID_BLOCK)
+            d[block] = (1.0 / np.subtract.outer(z[block], s)) @ w
+        abs_d = np.abs(d)
+        k = np.argmax(np.where(np.isfinite(abs_d), abs_d, 0.0))
+        offset = (np.log10(np.abs(z[k] - s)).sum()
+                  - np.log10(np.abs(z[k] - pole_list)).sum()
+                  + np.log10(abs_d[k]))
+        vals = (offset - np.log10(abs_d)).reshape(ny, nx)
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         raise ValueError("potential is degenerate on the whole window")
@@ -135,8 +130,8 @@ def potential_grid(supports, pole_list, window, resolution):
         window=tuple(float(v) for v in window),
         log_abs_phi=clipped,
         levels=levels,
-        supports=np.asarray(supports, dtype=complex).ravel(),
-        pole_list=np.asarray(pole_list, dtype=complex).ravel(),
+        supports=s.astype(complex),
+        pole_list=pole_list.astype(complex),
     )
 
 
@@ -160,10 +155,13 @@ def default_window(domain_points, pole_list):
 def walsh_error(contour, f_on_contour, r, z):
     """Contour-integral estimate of f(z) - r(z) for a rational interpolant.
 
-    Trapezoid rule on the circle; requires z and all supports of r strictly
-    inside the contour, no pole of r within 1e-8 times its radius of it
-    (PoleNearContourError), and f analytic on and inside it.  The accumulation
-    runs in extended precision: the integrand oscillates and cancels by
+    Trapezoid rule on the circle, with phi(z)/phi(t) = d(t)/d(z) from r's
+    weights.  Requires z and all supports of r strictly inside the
+    contour, and f analytic on and inside it.  No pole of r matters,
+    inside the contour, on it or outside it, except that z must not be
+    one: the integrand d(t) f(t) / (t - z) is analytic inside the contour
+    apart from the supports and z, so only d(z) != 0 is needed.  The sums
+    run in extended precision: the integrand oscillates and cancels by
     many orders of magnitude, and double-precision roundoff would dominate
     the tiny result.
     """
@@ -179,18 +177,13 @@ def walsh_error(contour, f_on_contour, r, z):
         raise ValueError("z must lie strictly inside the contour")
     if np.any(np.abs(r.supports - c) >= rho):
         raise ValueError("all supports of r must lie strictly inside the contour")
-    pl = r.pole_list
-    dist = np.abs(np.abs(pl - c) - rho) if pl.size else np.empty(0)
-    if pl.size and dist.min() < 1e-8 * rho:
-        raise PoleNearContourError(complex(pl[np.argmin(dist)]), rho)
 
     ext = np.clongdouble
     theta = 2 * np.pi * np.arange(contour.nodes, dtype=np.longdouble) / contour.nodes
     t = ext(c) + ext(rho) * np.exp(1j * theta).astype(ext)
-    ze = np.atleast_1d(ext(complex(z)))
-    sup = r.supports.astype(ext)
-    pol = pl.astype(ext)
-    ratio = phi(ze, sup, pol) / phi(t, sup, pol)
+    ze = ext(complex(z))
+    sup, w = r.supports.astype(ext), r.weights.astype(ext)
+    ratio = np.sum(w / (t[:, None] - sup), axis=1) / np.sum(w / (ze - sup))
     integrand = ratio * fvals.astype(ext) / (t - ze)
     total = np.sum(integrand * (t - ext(c))) / contour.nodes
     return complex(total)

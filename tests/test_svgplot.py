@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratapprox import cli, geometry, svgplot
+from ratapprox import cli, geometry, potential, svgplot
+from ratapprox.aaa import BarycentricRational
 from ratapprox.geometry import Disk
-from ratapprox.potential import potential_grid
+from ratapprox.potential import PotentialField, potential_grid
 from svgpath import hundredths, plot_map, polylines, printed
 
 
@@ -235,7 +236,11 @@ def test_marching_squares_matches_reference_property(seed, ny, nx, integer):
 
 
 def test_render_svg_structure():
-    f = potential_grid([0j, 1.0 + 0j], [2.0 + 2.0j], (-3, 3, -3, 3), (64, 64))
+    # d = (2 + 2i) / z - (1 + 2i) / (z - 1) vanishes at z = 2 + 2i
+    m = BarycentricRational(np.array([0j, 1.0]), np.array([0.0, 1.0]),
+                            np.array([2 + 2j, -1 - 2j]))
+    assert np.allclose(m.pole_list, [2 + 2j], rtol=1e-14)
+    f = potential_grid(m, (-3, 3, -3, 3), (64, 64))
     svg = svgplot.render_potential_svg(f, Disk(0j, 1.0))
     assert svg.startswith("<svg")
     assert svg.count("<circle") == 3          # 1 pole + 2 supports
@@ -261,17 +266,19 @@ def _polyline_pairs(d):
 
 
 def test_render_svg_pins_contour_bytes_and_gradient_colorbar():
-    # phi = (z^2 - 2i) / (z^2 + 2i) has a saddle of log10|phi| at 0 on level
-    # 0, in a saddle cell; each contour path must draw the segments of the
+    # log10|(z^2 - 2i) / (z^2 + 2i)| has a saddle at 0 on level 0, in a
+    # saddle cell; each contour path must draw the segments of the
     # reference, each point decoding to its %.2f
-    f = potential_grid([1 + 1j, -1 - 1j], [1 - 1j, -1 + 1j], (-3, 3, -3, 3),
-                       (64, 64))
-    g = f.log_abs_phi
+    window = (-3.0, 3.0, -3.0, 3.0)
+    xs, ys = potential._cell_centers(window, (64, 64))
+    z2 = (xs[None, :] + 1j * ys[:, None]) ** 2
+    g = np.log10(np.abs((z2 - 2j) / (z2 + 2j)))
+    f = PotentialField(window, g, np.arange(np.ceil(g.min()), np.floor(g.max()) + 1),
+                       np.array([1 + 1j, -1 - 1j]), np.array([1 - 1j, -1 + 1j]))
     assert 10 in [_cell_code(_cell_values(g, j, i), 0.0)
                   for j in range(63) for i in range(63)]
     svg = svgplot.render_potential_svg(f, Disk(0j, 1.0))
     px, py = plot_map(f)
-    xs, ys = f.cell_centers()
     expected = []
     for level in f.levels:
         segs = _reference_marching_squares(xs, ys, g, float(level))
