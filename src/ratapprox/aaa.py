@@ -189,11 +189,9 @@ def prefix_evaluator(models, z):
     zero-padded (supports x models) matrices of the weights and of
     w_k f_k / t, for t each model's pow2_scale(values), in two matrix
     products laid out (models x points).  The setup builds the padded
-    matrices and the scales, and chooses the arithmetic: real when all
-    models are and z has no nonzero imaginary part (a test grid on an
-    interval is real points stored as complex).  Each call builds the
-    Cauchy matrix of its slice only, so a caller that walks z in blocks
-    never holds one for all of z.
+    matrices and the scales, in the dtype of z and the models: real when
+    both are.  Each call builds the Cauchy matrix of its slice only, so a
+    caller that walks z in blocks never holds one for all of z.
     The zero entries keep a hit beyond a model's prefix from forming
     0 * inf.  As in evaluate, a hit inside a model's prefix returns f_k,
     and an exact pole the +-inf of the division in real arithmetic and
@@ -205,12 +203,8 @@ def prefix_evaluator(models, z):
             raise ValueError(
                 "each model's supports must be a prefix of the last model's")
     zv = np.asarray(z).ravel()
-    if not np.any(zv.imag):
-        zv = zv.real
-    dtype = np.result_type(zv, *(m.weights for m in models))
-    # real parts are strided views: BLAS needs them contiguous
-    zv, S = (np.ascontiguousarray(a, dtype=dtype) for a in (zv, last))
-    W = np.zeros((last.size, len(models)), dtype=dtype)
+    W = np.zeros((last.size, len(models)),
+                 dtype=np.result_type(zv, *(m.weights for m in models)))
     WF = np.zeros_like(W)
     t = np.empty(len(models))
     for i, m in enumerate(models):
@@ -221,7 +215,7 @@ def prefix_evaluator(models, z):
 
     def evaluate_block(rows):
         with np.errstate(all="ignore"):
-            C = zv[rows, None] - S
+            C = zv[rows, None] - last
             hit_rows, hit_cols = np.nonzero(C == 0)
             np.divide(1.0, C, out=C)
             C[hit_rows, hit_cols] = 0

@@ -91,13 +91,14 @@ class GridValues:
 
 
 def grid_values(f, domain):
-    """The GridValues of f on domain's 4000-point test grid; raises if f is
-    non-finite there."""
+    """The GridValues of f on domain's 4000-point test grid, in the dtype
+    geometry.SampleSet gives them; raises if f is non-finite there."""
     grid = geometry.test_grid(domain, 4000)
     fv = geometry.eval_function(f, grid)
     if not np.all(np.isfinite(fv.real) & np.isfinite(fv.imag)):
         raise ValueError("f is non-finite on the test grid")
-    return GridValues(domain, grid, fv)
+    tests = geometry.SampleSet(grid, fv)
+    return GridValues(domain, tests.points, tests.values)
 
 
 def _sup(err):
@@ -174,7 +175,7 @@ def _poly_sups(pmodel, degrees, tests):
     gives inf for every degree >= c, so a degree reads inf exactly when it
     reaches a column with a non-finite entry anywhere on the grid.
     """
-    A = np.zeros((len(degrees), pmodel.degree + 1), dtype=complex)
+    A = np.zeros((len(degrees), pmodel.degree + 1), dtype=pmodel.coeffs.dtype)
     for row, n in zip(A, degrees):
         row[: n + 1] = pmodel.coeffs[: n + 1]
 
@@ -184,7 +185,7 @@ def _poly_sups(pmodel, degrees, tests):
         W = polyfit.va_basis(pmodel, tests.grid[rows])
         c = int(np.logical_and.accumulate(np.isfinite(W).all(axis=0)).sum())
         k = int(np.searchsorted(degrees, c))  # the degrees below c
-        V = np.empty((len(degrees), W.shape[0]), dtype=complex)
+        V = np.empty((len(degrees), W.shape[0]), dtype=np.result_type(A, W))
         np.matmul(A[:k, :c], W[:, :c].T, out=V[:k])
         V[k:] = np.inf
         return V

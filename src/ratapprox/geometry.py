@@ -183,8 +183,8 @@ def _cluster_radii(dom, offset):
 
 
 def _interval_points(dom, m, offset):
-    """Chebyshev-density points, plus geometric clusters toward 0 when
-    0 is interior.  offset=0 gives the fitting set (first-kind nodes),
+    """Chebyshev-density float64 points, plus geometric clusters toward 0
+    when 0 is interior.  offset=0 gives the fitting set (first-kind nodes),
     offset=0.5 the testing set (second-kind nodes, shifted clusters)."""
     radii = _cluster_radii(dom, offset)
     clusters = np.concatenate([-radii, radii])
@@ -193,7 +193,7 @@ def _interval_points(dom, m, offset):
     pts = np.unique(np.concatenate([base, clusters]))
     if pts.size != m:
         raise ValueError("degenerate point collision in interval sampling")
-    return pts.astype(complex)
+    return pts
 
 
 def _horseshoe_points(dom, m, offset):

@@ -7,6 +7,8 @@ construction, so the coefficients are the projections of the data onto
 it.  A fit is its recurrence and coefficients, and its degree follows from
 the coefficients; at new points it is va_basis(model, z) @ model.coeffs,
 the stored recurrence re-run there.
+The recurrence runs in the data's dtype, as geometry.SampleSet decides it:
+a fit to real data, and its basis at real points, are float64.
 The basis is nested in degree: one degree-N fit and basis serve every
 lower degree, and a fit stops at the last column its points determine.
 The recurrence is homogeneous in the points, and va_fit runs it on data
@@ -62,8 +64,8 @@ def va_fit(samples, degree):
         raise ValueError("degree must be nonnegative")
     if M < n + 1:
         raise ValueError(f"need at least degree + 1 = {n + 1} samples, got {M}")
-    Q = np.zeros((M, n + 1), dtype=complex, order="F")
-    H = np.zeros((n + 1, n), dtype=complex)
+    Q = np.zeros((M, n + 1), dtype=Z.dtype, order="F")
+    H = np.zeros((n + 1, n), dtype=Z.dtype)
     Q[:, 0] = 1.0
     root_m = np.sqrt(M)
     for k in range(n):
@@ -88,11 +90,11 @@ def va_fit(samples, degree):
 def va_basis(model, points):
     """Basis matrix W (len(points) x (degree+1)) regenerated at the points
     by the stored recurrence; its first k+1 columns are the degree-k basis."""
-    zv = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
-    n = model.degree
-    W = np.zeros((zv.size, n + 1), dtype=complex, order="F")
-    W[:, 0] = 1.0
+    zv = np.atleast_1d(np.asarray(points)).ravel()
     H = model.hessenberg
+    n = model.degree
+    W = np.zeros((zv.size, n + 1), dtype=np.result_type(zv, H), order="F")
+    W[:, 0] = 1.0
     for k in range(n):
         w = zv * W[:, k] - W[:, : k + 1] @ H[: k + 1, k]
         W[:, k + 1] = w / H[k + 1, k]

@@ -130,8 +130,8 @@ def potential_grid(model, window, resolution):
         window=tuple(float(v) for v in window),
         log_abs_phi=clipped,
         levels=levels,
-        supports=s.astype(complex),
-        pole_list=pole_list.astype(complex),
+        supports=s,
+        pole_list=pole_list,
     )
 
 
@@ -161,9 +161,10 @@ def walsh_error(contour, f_on_contour, r, z):
     inside the contour, on it or outside it, except that z must not be
     one: the integrand d(t) f(t) / (t - z) is analytic inside the contour
     apart from the supports and z, so only d(z) != 0 is needed.  The sums
-    run in extended precision: the integrand oscillates and cancels by
-    many orders of magnitude, and double-precision roundoff would dominate
-    the tiny result.
+    run in clongdouble, but the estimate is known only to about eps * A,
+    for A the mean modulus of the trapezoid terms: the nodes are rounded
+    to double, and f is given there.  Against that floor the extended sums
+    gain a factor of 2 to 5 over complex128 ones.
     """
     if not isinstance(r, BarycentricRational):
         raise TypeError("r must be a BarycentricRational")

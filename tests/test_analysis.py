@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,6 +268,52 @@ def test_sweep_errors_do_not_depend_on_block_boundaries(abs300_study, order):
     poly = permuted.for_method(Method.POLYNOMIAL)
     assert [e.degree for e in poly if e.flag == "overflow"] == [
         e.degree for e in poly if e.degree >= 176]
+
+
+def test_real_data_stays_float64_from_domain_to_sweep(abs300_study):
+    # |x| on [-1, 1] is real data, and geometry.SampleSet's rule is the
+    # only place that says so: the points, f's values, the Arnoldi fit, its
+    # basis on the grid and a rational step all come out float64
+    samples, tests, _, _ = abs300_study
+    domain, real = Interval(-1.0, 1.0), np.dtype(np.float64)
+    assert geometry.boundary_samples(domain, 300).dtype == real
+    assert geometry.test_grid(domain, 4000).dtype == real
+    assert samples.points.dtype == samples.values.dtype == real
+    assert tests.grid.dtype == tests.values.dtype == real
+    pmodel = polyfit.va_fit(samples, 299)
+    assert pmodel.hessenberg.dtype == pmodel.coeffs.dtype == real
+    with np.errstate(all="ignore"):
+        W = polyfit.va_basis(pmodel, tests.grid)
+    assert W.dtype == real
+    models = aaa.aaa_fit(samples, tol=analysis.TOL_FLOOR,
+                         max_degree=20).snapshots
+    step = aaa.prefix_evaluator(models, tests.grid)
+    assert step(slice(0, analysis.GRID_BLOCK)).dtype == real
+
+    # the reference is the same numbers complex-typed, which SampleSet
+    # would make real again, so they go in as a bare pair
+    ref_model = polyfit.va_fit(SimpleNamespace(
+        points=samples.points.astype(complex),
+        values=samples.values.astype(complex)), 299)
+    assert ref_model.coeffs.dtype == np.complex128
+    assert ref_model.degree == pmodel.degree
+    degrees = list(range(pmodel.degree + 1))
+    sups = analysis._poly_sups(pmodel, degrees, tests)
+    ref = analysis._poly_sups(ref_model, degrees, analysis.GridValues(
+        domain, tests.grid.astype(complex), tests.values.astype(complex)))
+    finite = np.isfinite(sups)
+    assert np.array_equal(finite, np.isfinite(ref)) and finite[:100].all()
+    # the degree-n value at x is the (n+1)-term product of the coefficients
+    # with the basis row W(x, :n+1), made after n steps of the recurrence;
+    # each run's rounding moves it by at most about (n+1) eps |c| |W(x)|,
+    # and |c| <= max|f| by Bessel's inequality (the basis is orthonormal
+    # on the samples), so the two sups differ by at most twice that
+    n = np.arange(pmodel.degree + 1)
+    with np.errstate(all="ignore"):
+        row_norm = np.hypot.accumulate(np.abs(W), axis=1).max(axis=0)
+    bound = (2 * (n + 1) * np.finfo(float).eps
+             * np.abs(samples.values).max() * row_norm)
+    assert np.all(np.abs(sups[finite] - ref[finite]) <= bound[finite])
 
 
 def test_degree_sweep_memory_is_bounded_by_a_block():

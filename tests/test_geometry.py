@@ -172,12 +172,14 @@ def test_sampleset_is_real_when_points_and_values_are(fn, domain, real):
     # float64 exactly when neither array has a nonzero imaginary part: the
     # real parts, bit for bit, of the complex evaluation.  |z| on a disk is
     # real at complex points, and sqrt((1.5 - z)(1.5i - z)) complex at real
-    # ones; both stay complex
+    # ones; both stay complex, and an interval's float64 points become
+    # complex there with zero imaginary parts
     pts = boundary_samples(domain, 500)
     vals = eval_function(fn, pts)
     s = SampleSet(pts, vals)
     assert s.points.dtype == s.values.dtype == (float if real else complex)
-    assert s.points.tobytes() == (pts.real if real else pts).tobytes()
+    assert (s.points.tobytes()
+            == (pts.real if real else pts.astype(complex)).tobytes())
     assert s.values.tobytes() == (vals.real if real else vals).tobytes()
     t = sample_function(fn, domain, 500)
     assert t.points.tobytes() == s.points.tobytes()
